@@ -11,25 +11,21 @@ condition that prevents native execution is recorded as a
 ``fallback_reason`` instead of raised, so the engines degrade to the
 numpy path without ceremony.
 
-The runtime side mirrors the dense engine's index algebra exactly:
+The runtime side adds no index algebra of its own: each tile's
+addresses come from the program's cached replay plan
+(:mod:`repro.runtime.replay`), the same one the dense engine walks:
 
 * the LDS flat address of lattice point ``i`` of the tile with chain
-  index ``t`` is ``base[i] + t * (V_m/c_m) * strides[m]`` — ``base``
-  precomputed with numpy floor division per LDS geometry, the shift
-  exact because the backend only engages when ``c_m | V_m``;
-* a read slot's source is in-domain iff ``A @ (g - dep) <= b``;
-  rewritten per tile as ``A_tis[:, i] <= b - A @ (origin - dep)`` with
-  ``A_tis = A @ tis.T`` precomputed (all int64, so the rearrangement
-  is exact).  A per-dependence row-max of ``A_tis`` decides "whole
-  tile in-domain" in O(rows) — the common interior-tile case passes
-  NULL masks to C and skips all boundary work;
-* out-of-domain reads are replaced by the *same scalar*
-  ``init_value(array, ref.index(g))`` calls the dense engine's
-  ``fix_out_of_domain`` makes, precomputed per tile into ``fix``
-  arrays the C conditional selects from;
-* pure-input reads (ADI's coefficient array) gather per tile from the
-  dense engine's :class:`~repro.runtime.dense.InputTable` into flat
-  per-lattice tables.
+  index ``t`` is ``wbase[i] + shift`` (``rbase[site][i] + shift`` for
+  a dependence read's source) — exact because ``c_m | V_m``;
+* tiles whose executed points all read in-domain pass NULL masks to C
+  and skip all boundary work; the others get this run's ``oob``/``fix``
+  arrays from :func:`~repro.runtime.replay.boundary_fill` — the *same
+  scalar* ``init_value(array, ref.index(g))`` calls the dense engine
+  makes, which the C conditional selects from;
+* pure-input reads (ADI's coefficient array) gather per tile from this
+  run's :class:`~repro.runtime.dense.InputTable` into flat per-lattice
+  tables.
 
 Bitwise identity with the dense engine follows: same values flow into
 the same IEEE-754 operations in the same order, only the loop driver
@@ -42,7 +38,7 @@ import ctypes
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -65,6 +61,13 @@ from repro.native.emit import (
     KernelPlan,
     NativeEmitError,
     emit_translation_unit,
+)
+from repro.runtime.dense import build_statement_plans
+from repro.runtime.replay import (
+    RankReplay,
+    TileStep,
+    boundary_fill,
+    replay_geometry,
 )
 
 InitFn = Callable[[str, Tuple[int, ...]], float]
@@ -122,8 +125,8 @@ def _load_fn(so_path: str) -> Any:
 class NativeKernelLibrary:
     """Outcome of one native build: a loadable ``.so`` or a reason.
 
-    Picklable (the lazy per-process state is dropped on pickle), so
-    the parallel engine ships it to workers inside ``_RunConfig``.
+    A plain picklable value, so the parallel engine ships it to
+    workers inside ``_RunConfig``.
     """
 
     status: str                       # "hit" | "miss" | "fallback"
@@ -135,36 +138,30 @@ class NativeKernelLibrary:
     compiler: Optional[str] = None
     compiler_fp: Optional[str] = None
     plan: Optional[KernelPlan] = None
-    _runtimes: Dict[Tuple[int, str], "NativeRuntime"] = field(
-        default_factory=dict, repr=False, compare=False)
 
     @property
     def available(self) -> bool:
         return self.so_path is not None
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_runtimes"] = {}
-        return state
-
     def runtime(self, program: Any, init_value: InitFn,
-                dtype: Any = np.float64) -> Optional["NativeRuntime"]:
-        """Per-process :class:`NativeRuntime`, or ``None``.
+                dtype: Any = np.float64,
+                plans: Optional[List[Any]] = None,
+                ) -> Optional["NativeRuntime"]:
+        """This run's :class:`NativeRuntime`, or ``None``.
 
         ``None`` means "use the numpy path": the library fell back at
         build time, or this run's dtype is not float64 (the emitted
-        kernels compute in double).
+        kernels compute in double).  A new runtime per call: every
+        ``init_value``-derived value (boundary fills, pure-input
+        tables) belongs to one run; the geometry it reuses is cached on
+        ``program``.  ``plans`` passes the run's statement plans so
+        their input tables are not built twice.
         """
         if not self.available:
             return None
         if np.dtype(dtype) != np.float64:
             return None
-        memo_key = (id(program), np.dtype(dtype).str)
-        rt = self._runtimes.get(memo_key)
-        if rt is None:
-            rt = NativeRuntime(program, self, init_value)
-            self._runtimes[memo_key] = rt
-        return rt
+        return NativeRuntime(program, self, init_value, plans)
 
 
 def build_native_library(program: Any,
@@ -244,171 +241,69 @@ def build_native_library(program: Any,
 
 
 @dataclass
-class _DepSlot:
-    slot: int                 # C-side dep-slot index
-    ref: Any                  # ArrayRef
-    indexer: Any              # RefIndexer (int64 twin of ref.index)
-    dep: np.ndarray           # original dependence (int64, n)
-    dep_key: Tuple[int, ...]
-    dp_key: Tuple[int, ...]   # TTIS-transformed dependence
-
-
-@dataclass
 class _PureSlot:
     slot: int
-    table: Any                # InputTable
+    table: Any                # InputTable (built from this run's init_value)
     indexer: Any              # RefIndexer
     group: int                # shared-gather group id
 
 
-@dataclass
-class _Bases:
-    strides: np.ndarray
-    wbase: np.ndarray
-    rbase: Dict[Tuple[int, ...], np.ndarray]
-    shift_unit: int
-
-
 class NativeRuntime:
-    """Program-level precompute shared by every rank in one process."""
+    """One execution's native state: the loaded kernels plus this run's
+    ``init_value`` and pure-input tables.
+
+    Cheap to build — all geometry lives in the program's cached replay
+    plans — so nothing derived from ``init_value`` outlives the run.
+    """
 
     def __init__(self, program: Any, library: NativeKernelLibrary,
-                 init_value: InitFn):
-        from repro.runtime.dense import build_statement_plans
-
+                 init_value: InitFn,
+                 plans: Optional[List[Any]] = None):
         assert library.so_path is not None
         assert library.plan is not None
-        self.program = program
         self.plan = library.plan
         self.fn = _load_fn(library.so_path)
         self.init_value = init_value
-
-        ttis = program.tiling.ttis
         self.arrays: Tuple[str, ...] = tuple(program.arrays)
         assert self.arrays == self.plan.arrays, \
             "library built for a different array layout"
-        self.m = int(program.dist.m)
-        self.lat = np.ascontiguousarray(
-            ttis.lattice_points_np(), dtype=np.int64)
-        self.tis = np.ascontiguousarray(
-            ttis.tis_points_np(), dtype=np.int64)
-        self.nlat = len(self.lat)
-        self.c_np = np.asarray(ttis.c, dtype=np.int64)
-        self.v_np = np.asarray(ttis.v, dtype=np.int64)
-        self.amat = program.tiling._amat
-        self.bvec = program.tiling._bvec
+        self.geo = replay_geometry(program)
 
-        splans = build_statement_plans(program.nest, init_value,
-                                       np.float64)
-        self.dep_slots: List[_DepSlot] = []
+        if plans is None:
+            plans = build_statement_plans(program.nest, init_value,
+                                          np.float64)
+        #: C dep-slot index of each dependence read site.
+        self.dep_slot: Dict[Tuple[int, int], int] = {}
         self.pure_slots: List[_PureSlot] = []
         pure_groups: Dict[Tuple[Any, ...], int] = {}
         for slot in self.plan.slots:
-            rp = splans[slot.stmt_index].reads[slot.read_index]
+            rp = plans[slot.stmt_index].reads[slot.read_index]
             if slot.kind == "dep":
-                assert rp.dep is not None
-                dep = np.asarray(rp.dep, dtype=np.int64)
-                dp = ttis.transformed_dependences(
-                    [tuple(int(x) for x in dep)])[0]
-                self.dep_slots.append(_DepSlot(
-                    slot=slot.slot, ref=rp.ref, indexer=rp.indexer,
-                    dep=dep,
-                    dep_key=tuple(int(x) for x in dep),
-                    dp_key=tuple(int(x) for x in dp)))
-            else:
-                assert rp.table is not None
-                gkey = (id(rp.table),
-                        tuple(rp.indexer.offset.tolist()),
-                        None if rp.indexer.f_int is None
-                        else tuple(map(tuple,
-                                       rp.indexer.f_int.tolist())))
-                group = pure_groups.setdefault(gkey, len(pure_groups))
-                self.pure_slots.append(_PureSlot(
-                    slot=slot.slot, table=rp.table,
-                    indexer=rp.indexer, group=group))
-        self.n_pure_groups = len(pure_groups)
-        self.distinct_deps: List[Tuple[Tuple[int, ...], np.ndarray]] = []
-        seen: Dict[Tuple[int, ...], None] = {}
-        for ds in self.dep_slots:
-            if ds.dep_key not in seen:
-                seen[ds.dep_key] = None
-                self.distinct_deps.append((ds.dep_key, ds.dep))
+                self.dep_slot[rp.site] = slot.slot
+                continue
+            assert rp.table is not None
+            gkey = (id(rp.table),
+                    tuple(rp.indexer.offset.tolist()),
+                    None if rp.indexer.f_int is None
+                    else tuple(map(tuple, rp.indexer.f_int.tolist())))
+            group = pure_groups.setdefault(gkey, len(pure_groups))
+            self.pure_slots.append(_PureSlot(
+                slot=slot.slot, table=rp.table, indexer=rp.indexer,
+                group=group))
 
-        # In-domain fast path: A_tis[:, i] = A @ tis_i, with row maxima
-        # (all int64 → the per-tile threshold comparison is exact).
-        self.a_tis = np.ascontiguousarray(self.amat @ self.tis.T)
-        self.a_tis_rowmax = (self.a_tis.max(axis=1)
-                             if self.a_tis.size
-                             else np.zeros(len(self.bvec),
-                                           dtype=np.int64))
-
-        self._bases_cache: Dict[Tuple[Any, ...], _Bases] = {}
-        self._full_segments: Optional[
-            Tuple[np.ndarray, np.ndarray]] = None
-
-    # -- segments (sel + per-level prefix offsets) ------------------------
-
-    def segments(self, tile: Tuple[int, ...]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenated wavefront-level batches of one tile."""
-        full = self.program.tiling.classify_tile(tile) == "full"
-        if full and self._full_segments is not None:
-            return self._full_segments
-        batches = self.program.dense_level_batches(tile)
-        if batches:
-            sel = np.ascontiguousarray(
-                np.concatenate(batches), dtype=np.int64)
-        else:
-            sel = np.zeros(0, dtype=np.int64)
-        seg = np.zeros(len(batches) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in batches], out=seg[1:])
-        out = (sel, seg)
-        if full:
-            self._full_segments = out
-        return out
-
-    # -- per-LDS-geometry base arrays -------------------------------------
-
-    def bases_for(self, lds: Any) -> _Bases:
-        key = (tuple(int(x) for x in lds.shape),
-               tuple(int(x) for x in lds.offsets))
-        bases = self._bases_cache.get(key)
-        if bases is not None:
-            return bases
-        n = self.lat.shape[1]
-        shape = np.asarray(lds.shape, dtype=np.int64)
-        strides = np.ones(n, dtype=np.int64)
-        for k in reversed(range(n - 1)):
-            strides[k] = strides[k + 1] * shape[k + 1]
-        off = np.asarray(lds.offsets, dtype=np.int64)
-        wbase = np.ascontiguousarray(
-            (self.lat // self.c_np + off) @ strides)
-        rbase: Dict[Tuple[int, ...], np.ndarray] = {}
-        for ds in self.dep_slots:
-            if ds.dp_key not in rbase:
-                dp = np.asarray(ds.dp_key, dtype=np.int64)
-                rbase[ds.dp_key] = np.ascontiguousarray(
-                    ((self.lat - dp) // self.c_np + off) @ strides)
-        shift_unit = int(self.v_np[self.m] // self.c_np[self.m]) \
-            * int(strides[self.m])
-        bases = _Bases(strides=strides, wbase=wbase, rbase=rbase,
-                       shift_unit=shift_unit)
-        self._bases_cache[key] = bases
-        return bases
-
-    def for_rank(self, lds: Any,
+    def for_rank(self, replay: RankReplay,
                  local: Dict[str, np.ndarray]) -> "RankKernels":
-        return RankKernels(self, lds, local)
+        return RankKernels(self, replay, local)
 
 
 class _TileCtx:
-    """Per-(rank, tile) marshalled arguments, built once per tile."""
+    """One tile's marshalled arguments for this run."""
 
-    __slots__ = ("shift", "oob_addr", "fix_addr", "pure_addr", "keep")
+    __slots__ = ("sel", "oob_addr", "fix_addr", "pure_addr", "keep")
 
-    def __init__(self, shift: int, oob_addr: Any, fix_addr: Any,
+    def __init__(self, sel: np.ndarray, oob_addr: Any, fix_addr: Any,
                  pure_addr: Any, keep: List[np.ndarray]):
-        self.shift = shift
+        self.sel = sel
         self.oob_addr = oob_addr
         self.fix_addr = fix_addr
         self.pure_addr = pure_addr
@@ -421,138 +316,93 @@ class RankKernels:
     ``run_tile`` executes a whole tile (all wavefront levels, one C
     call); ``run_segment`` executes one (sub-)batch — the overlap
     schedule's boundary/interior slices — reusing the tile context.
+    Both take a :class:`~repro.runtime.replay.TileStep` of the rank's
+    replay plan, which carries the tile's cached geometry.
     """
 
-    def __init__(self, rt: NativeRuntime, lds: Any,
+    def __init__(self, rt: NativeRuntime, replay: RankReplay,
                  local: Dict[str, np.ndarray]):
         self.rt = rt
-        bases = rt.bases_for(lds)
-        self.bases = bases
-        self.local = local
+        self.wbase = replay.bases.wbase
         for a in rt.arrays:
             buf = local[a]
             assert buf.dtype == np.float64 and buf.flags["C_CONTIGUOUS"]
         self._bufs = (ctypes.c_void_p * len(rt.arrays))(
             *[local[a].ctypes.data for a in rt.arrays])
-        n_dep = max(rt.plan.n_dep_slots, 1)
-        self._rb = (ctypes.c_void_p * n_dep)()
-        for ds in rt.dep_slots:
-            self._rb[ds.slot] = bases.rbase[ds.dp_key].ctypes.data
-        self._ctx_key: Optional[Tuple[Tuple[int, ...], int]] = None
+        self._rb = (ctypes.c_void_p * max(rt.plan.n_dep_slots, 1))()
+        for site, slot in rt.dep_slot.items():
+            self._rb[slot] = replay.bases.rbase[site].ctypes.data
+        self._ctx_step: Optional[TileStep] = None
         self._ctx: Optional[_TileCtx] = None
 
     # -- per-tile context -------------------------------------------------
 
-    def _tile_ctx(self, tile: Tuple[int, ...], t: int,
-                  origin: np.ndarray) -> _TileCtx:
-        key = (tuple(int(x) for x in tile), int(t))
-        if self._ctx_key == key and self._ctx is not None:
+    def _tile_ctx(self, step: TileStep) -> _TileCtx:
+        """Executed points plus this run's boundary and pure-input
+        values of one tile (built once per tile, reused by its
+        segments)."""
+        if self._ctx_step is step and self._ctx is not None:
             return self._ctx
         rt = self.rt
-        shift = int(t) * self.bases.shift_unit
+        geo = rt.geo
+        sel = geo.executed(step.mask)
         keep: List[np.ndarray] = []
         n_dep = max(rt.plan.n_dep_slots, 1)
-        n_pure = max(rt.plan.n_pure_slots, 1)
         oob_ptrs = (ctypes.c_void_p * n_dep)()
         fix_ptrs = (ctypes.c_void_p * n_dep)()
-        pure_ptrs = (ctypes.c_void_p * n_pure)()
-
-        origin64 = np.asarray(origin, dtype=np.int64)
-        masks: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
-        sel_all: Optional[np.ndarray] = None
-        for dep_key, dep in rt.distinct_deps:
-            thr = rt.bvec - rt.amat @ (origin64 - dep)
-            if np.all(rt.a_tis_rowmax <= thr):
-                masks[dep_key] = None        # whole tile in-domain
-                continue
-            in_dom = np.all(rt.a_tis <= thr[:, None], axis=0)
-            if sel_all is None:
-                sel_all = rt.segments(tile)[0]
-            if bool(in_dom[sel_all].all()):
-                masks[dep_key] = None        # executed points all in
-                continue
-            oob = np.ascontiguousarray(
-                (~in_dom).astype(np.uint8))
-            masks[dep_key] = oob
-            keep.append(oob)
-
-        for ds in rt.dep_slots:
-            oob = masks[ds.dep_key]
-            if oob is None:
-                continue
-            oob_ptrs[ds.slot] = oob.ctypes.data
-            # Same scalar boundary values as fix_out_of_domain, filled
-            # only at executed out-of-domain points (the cells come
-            # from the vectorized int64 indexer — identical integers
-            # to ref.index, without the per-point rational matvec).
-            assert sel_all is not None
-            fix = np.zeros(rt.nlat, dtype=np.float64)
-            ood = sel_all[oob[sel_all].view(np.bool_)]
-            arr_name = ds.ref.array
-            init_value = rt.init_value
-            cells = ds.indexer.cells(rt.tis[ood] + origin64)
-            for i, cell in zip(ood.tolist(), cells.tolist()):
-                fix[i] = init_value(arr_name, tuple(cell))
-            fix_ptrs[ds.slot] = fix.ctypes.data
-            keep.append(fix)
-
+        pure_ptrs = (ctypes.c_void_p * max(rt.plan.n_pure_slots, 1))()
+        for site, oob, fix in boundary_fill(step, geo.nlat,
+                                            rt.init_value):
+            slot = rt.dep_slot[site]
+            oob_ptrs[slot] = oob.ctypes.data
+            fix_ptrs[slot] = fix.ctypes.data
+            keep += (oob, fix)
         if rt.pure_slots:
             # Gather only at executed points: a partial tile's clipped
             # lattice points can map outside the input-table box.
-            if sel_all is None:
-                sel_all = rt.segments(tile)[0]
-            gsel = rt.tis[sel_all] + origin64
+            gsel = geo.tis[sel] + step.origin
             group_vals: Dict[int, np.ndarray] = {}
             for ps in rt.pure_slots:
                 vals = group_vals.get(ps.group)
                 if vals is None:
-                    vals = np.zeros(rt.nlat, dtype=np.float64)
-                    vals[sel_all] = ps.table.gather(
-                        ps.indexer.cells(gsel))
+                    vals = np.zeros(geo.nlat, dtype=np.float64)
+                    vals[sel] = ps.table.gather(ps.indexer.cells(gsel))
                     group_vals[ps.group] = vals
                     keep.append(vals)
                 pure_ptrs[ps.slot] = vals.ctypes.data
-
-        ctx = _TileCtx(shift=shift,
-                       oob_addr=oob_ptrs,
-                       fix_addr=fix_ptrs,
-                       pure_addr=pure_ptrs,
-                       keep=keep)
-        self._ctx_key = key
+        ctx = _TileCtx(sel=sel, oob_addr=oob_ptrs, fix_addr=fix_ptrs,
+                       pure_addr=pure_ptrs, keep=keep)
+        self._ctx_step = step
         self._ctx = ctx
         return ctx
 
     # -- execution --------------------------------------------------------
 
-    def _call(self, ctx: _TileCtx, sel: np.ndarray,
-              seg: np.ndarray) -> None:
+    def _call(self, ctx: _TileCtx, sel: np.ndarray, shift: int) -> None:
+        seg = np.array([0, len(sel)], dtype=np.int64)
         self.rt.fn(
-            len(seg) - 1,
+            1,
             seg.ctypes.data,
             sel.ctypes.data,
-            ctx.shift,
+            shift,
             ctypes.addressof(self._bufs),
-            self.bases.wbase.ctypes.data,
+            self.wbase.ctypes.data,
             ctypes.addressof(self._rb),
             ctypes.addressof(ctx.pure_addr),
             ctypes.addressof(ctx.oob_addr),
             ctypes.addressof(ctx.fix_addr),
         )
 
-    def run_tile(self, tile: Tuple[int, ...], t: int,
-                 origin: np.ndarray) -> None:
-        """All wavefront levels of one tile in one native call."""
-        sel, seg = self.rt.segments(tile)
-        if not len(sel):
-            return
-        self._call(self._tile_ctx(tile, t, origin), sel, seg)
+    def run_tile(self, step: TileStep) -> None:
+        """Every executed point of one tile, in schedule order, in one
+        native call."""
+        ctx = self._tile_ctx(step)
+        if len(ctx.sel):
+            self._call(ctx, ctx.sel, step.shift)
 
-    def run_segment(self, tile: Tuple[int, ...], t: int,
-                    origin: np.ndarray, batch: np.ndarray) -> None:
+    def run_segment(self, step: TileStep, batch: np.ndarray) -> None:
         """One wavefront (sub-)batch — the overlap engine's unit."""
         if not len(batch):
             return
-        ctx = self._tile_ctx(tile, t, origin)
-        sel = np.ascontiguousarray(batch, dtype=np.int64)
-        seg = np.array([0, len(sel)], dtype=np.int64)
-        self._call(ctx, sel, seg)
+        self._call(self._tile_ctx(step),
+                   np.ascontiguousarray(batch, dtype=np.int64), step.shift)

@@ -206,14 +206,21 @@ def build_input_table(ref: ArrayRef, domain: Polyhedron,
                       values=values)
 
 
+def write_box(ref: ArrayRef, domain: Polyhedron,
+              ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(origin, shape)`` of the box of cells ``ref`` can write over
+    ``domain``."""
+    lo_r, hi_r = image_bounding_box(domain, ref.access_matrix())
+    lo = tuple(math.floor(a) + o for a, o in zip(lo_r, ref.offset))
+    hi = tuple(math.ceil(a) + o for a, o in zip(hi_r, ref.offset))
+    return lo, tuple(h - b + 1 for b, h in zip(lo, hi))
+
+
 def field_for_write(ref: ArrayRef, domain: Polyhedron,
                     dtype: type = np.float64) -> DenseField:
     """A zeroed :class:`DenseField` covering every cell ``ref`` can
     write over ``domain``."""
-    lo_r, hi_r = image_bounding_box(domain, ref.access_matrix())
-    lo = tuple(math.floor(a) + o for a, o in zip(lo_r, ref.offset))
-    hi = tuple(math.ceil(a) + o for a, o in zip(hi_r, ref.offset))
-    shape = tuple(h - b + 1 for b, h in zip(lo, hi))
+    lo, shape = write_box(ref, domain)
     return DenseField(
         origin=lo,
         values=np.zeros(shape, dtype=dtype),
@@ -241,6 +248,7 @@ class ReadPlan:
 
     ref: ArrayRef
     indexer: RefIndexer
+    site: Tuple[int, int]              # (statement, read) index
     dep: Optional[np.ndarray]          # int64 (n,), None for pure inputs
     table: Optional[InputTable]        # set exactly when dep is None
     dep_prime: Optional[np.ndarray] = None  # TTIS-transformed (drivers)
@@ -280,6 +288,7 @@ def build_statement_plans(nest: LoopNest, init_value: InitFn,
             reads.append(ReadPlan(
                 ref=r,
                 indexer=RefIndexer.of(r),
+                site=(si, ri),
                 dep=None if d is None else np.asarray(d, dtype=np.int64),
                 table=table,
             ))

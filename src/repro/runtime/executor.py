@@ -23,7 +23,6 @@ modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -49,13 +48,20 @@ from repro.runtime.dense import (
     build_overlap_split,
     build_statement_plans,
     evaluate_statement_batch,
-    field_for_write,
-    fix_out_of_domain,
     level_batches,
     read_dependences,
     wavefront_vector,
 )
 from repro.runtime.machine import ClusterSpec
+from repro.runtime.replay import (
+    RankReplay,
+    ReplayGeometry,
+    TileStep,
+    boundary_fill,
+    rank_replay,
+    replay_geometry,
+    write_back,
+)
 from repro.runtime.trace import EventTrace
 from repro.runtime.vmpi import (
     Compute,
@@ -153,6 +159,10 @@ class TiledProgram:
         # Pre-pickled plans from an artifact, decoded lazily on first
         # build_rank_plans call (see repro.artifacts.format).
         self._rank_plans_blob: Optional[bytes] = None
+        # Per-rank replay plans of the dense engines, built on the
+        # first execution (repro.runtime.replay; never in artifacts).
+        self._replay_geometry: Optional["ReplayGeometry"] = None
+        self._replay_cache: Dict[int, "RankReplay"] = {}
 
     # -- static queries ----------------------------------------------------------
 
@@ -218,16 +228,20 @@ class TiledProgram:
                 [d for d in dprimes if any(d)], self.n, extents=ttis.v)
         return self._dense_s
 
-    def dense_level_batches(self, tile: Tile) -> List[np.ndarray]:
-        """Wavefront levels of ``tile`` under
+    def dense_full_batches(self) -> List[np.ndarray]:
+        """Wavefront levels of a full tile under
         :meth:`dense_schedule_vector`: index arrays into
-        ``ttis.lattice_points_np()``, in increasing level; partial
-        tiles drop their clipped points (and any emptied levels)."""
+        ``ttis.lattice_points_np()``, in increasing level (cached)."""
         if self._dense_full_batches is None:
             self._dense_full_batches = level_batches(
                 self.tiling.ttis.lattice_points_np(),
                 self.dense_schedule_vector())
-        batches = self._dense_full_batches
+        return self._dense_full_batches
+
+    def dense_level_batches(self, tile: Tile) -> List[np.ndarray]:
+        """:meth:`dense_full_batches` of ``tile``: partial tiles drop
+        their clipped points (and any emptied levels)."""
+        batches = self.dense_full_batches()
         if self.tiling.classify_tile(tile) == "full":
             return batches
         mask = self.tile_mask(tile)
@@ -776,12 +790,16 @@ class DistributedRun:
         condensed ``map`` (strides ``c_k``, halo offsets ``off_k``);
         every tile executes in batched wavefront levels of its TTIS
         lattice; pack/unpack move whole ``CC`` regions as single
-        gathers/scatters.  The event sequence yielded to the virtual
-        cluster is identical to :meth:`execute` (one ``Compute`` per
-        tile, same message sizes/tags/order), so the returned
-        :class:`RunStats` match exactly; only the Python-side wall-clock
-        cost changes.  Results come back as :class:`DenseField` per
-        written array (``.to_cells()`` recovers the sparse dicts).
+        gathers/scatters.  Every address comes from the rank's cached
+        replay plan (:func:`~repro.runtime.replay.rank_replay`, built on
+        the first execution), so a run only moves data, runs kernels
+        and makes the boundary ``init_value`` calls.  The event sequence
+        yielded to the virtual cluster is identical to :meth:`execute`
+        (one ``Compute`` per tile, same message sizes/tags/order), so
+        the returned :class:`RunStats` match exactly; only the
+        Python-side wall-clock cost changes.  Results come back as
+        :class:`DenseField` per written array (``.to_cells()`` recovers
+        the sparse dicts).
 
         ``native`` switches the per-tile COMPUTE loop to the compiled
         shared-object kernels (see ``repro.native``): same LDS buffers,
@@ -791,152 +809,84 @@ class DistributedRun:
         """
         prog = self.program
         spec = self.spec
-        nest = prog.nest
-        tiling = prog.tiling
-        ttis = tiling.ttis
-        dist = prog.dist
-        n = prog.n
-        m = dist.m
-        lat = ttis.lattice_points_np()
-        tis = ttis.tis_points_np()
-        lex_order = prog.dense_lex_order()
-        narr = len(prog.arrays)
-        amat, bvec = tiling._amat, tiling._bvec
-        v_np = np.asarray(ttis.v, dtype=np.int64)
-        c_np = np.asarray(ttis.c, dtype=np.int64)
-        rows_np = v_np // c_np
-        plans = build_statement_plans(nest, init_value, dtype)
-        for plan in plans:
-            for rp in plan.reads:
-                if rp.dep is not None:
-                    dp = ttis.transformed_dependences(
-                        [tuple(int(x) for x in rp.dep)])[0]
-                    rp.dep_prime = np.asarray(dp, dtype=np.int64)
-        # Wavefront over the TTIS images of the dependences: legality
-        # (H d >= 0) makes them componentwise non-negative, so a valid
-        # schedule always exists; an axis all deps advance along gives
-        # the fewest levels.  Shared with the emitters through
-        # TiledProgram so generated sources burn in the same slices.
-        tile_batches = prog.dense_level_batches
-        native_rt = (native.runtime(prog, init_value, dtype)
+        arrays = prog.arrays
+        tis = prog.tiling.ttis.tis_points_np()
+        geo = replay_geometry(prog)
+        plans = build_statement_plans(prog.nest, init_value, dtype)
+        native_rt = (native.runtime(prog, init_value, dtype, plans=plans)
                      if native is not None else None)
         fields: Dict[str, DenseField] = {
-            plan.stmt.write.array: field_for_write(plan.stmt.write,
-                                                   nest.domain, dtype)
-            for plan in plans
+            w.array: DenseField(origin=w.origin,
+                                values=np.zeros(w.shape, dtype=dtype),
+                                written=np.zeros(w.shape, dtype=bool))
+            for w in geo.writes
         }
 
-        def make_program(pid: Pid) -> NodeFn:
-            lds = prog.addressing.lds_for(pid)
-            shape = np.asarray(lds.shape, dtype=np.int64)
-            strides = np.ones(n, dtype=np.int64)
-            for k in reversed(range(n - 1)):
-                strides[k] = strides[k + 1] * shape[k + 1]
-            size = int(lds.cells)
-            off_np = np.asarray(lds.offsets, dtype=np.int64)
-            local = {a: np.zeros(size, dtype=dtype) for a in prog.arrays}
-            nk = (native_rt.for_rank(lds, local)
-                  if native_rt is not None else None)
+        def numpy_step(replay: RankReplay, local: Dict[str, np.ndarray],
+                       ) -> Callable[[TileStep], None]:
+            """The numpy kernels over one tile's wavefront levels."""
+            wbase, rbase = replay.bases.wbase, replay.bases.rbase
+            top = replay.size - 1
 
-            def to_flat(jp: np.ndarray, t: int) -> np.ndarray:
-                shifted = jp.copy()
-                shifted[:, m] += t * int(v_np[m])
-                return (shifted // c_np + off_np) @ strides
+            def run(step: TileStep) -> None:
+                fixes = {site: (oob.view(np.bool_), fix) for site, oob, fix
+                         in boundary_fill(step, geo.nlat, init_value,
+                                          dtype)}
+                for batch in prog.dense_level_batches(step.tile):
+                    def gather(rp: ReadPlan, _g: np.ndarray,
+                               _b: np.ndarray = batch) -> np.ndarray:
+                        # Out-of-domain sources can address outside the
+                        # LDS; clip, then overwrite with the boundary.
+                        vals = local[rp.ref.array][np.clip(
+                            rbase[rp.site][_b] + step.shift, 0, top)]
+                        fx = fixes.get(rp.site)
+                        if fx is not None:
+                            oob = fx[0][_b]
+                            vals[oob] = fx[1][_b][oob]
+                        return vals
+
+                    g = tis[batch] + step.origin
+                    wflat = wbase[batch] + step.shift
+                    for plan in plans:
+                        local[plan.stmt.write.array][wflat] = \
+                            evaluate_statement_batch(plan, g, gather, dtype)
+            return run
+
+        def make_program(pid: Pid) -> NodeFn:
+            replay = rank_replay(prog, prog.rank_of[pid])
+            local = {a: np.zeros(replay.size, dtype=dtype) for a in arrays}
+            compute = (native_rt.for_rank(replay, local).run_tile
+                       if native_rt is not None
+                       else numpy_step(replay, local))
 
             def node(api: RankApi) -> Generator:
-                for tile in dist.tiles_of(pid):
-                    t = dist.chain_index(tile)
+                for step in replay.steps:
                     # RECEIVE ------------------------------------------------
-                    for ds, pred, src in prog.receive_plan(tile):
-                        nelems = prog.region_count(pred, ds) * narr
-                        if nelems == 0:
-                            continue
-                        dm = prog.comm.project(ds)
-                        payload, got = yield Recv(
-                            source=prog.rank_of[src],
-                            tag=prog.message_tag(dm))
-                        assert got == nelems, (
-                            f"size mismatch at {tile} from {pred}: "
-                            f"{got} != {nelems}")
-                        yield Compute(spec.pack_time(nelems))
-                        region = prog.region_mask(pred, ds)
-                        idx = lex_order[region[lex_order]]
-                        flat = to_flat(lat[idx], t) - int(
-                            (np.asarray(ds, dtype=np.int64) * rows_np)
-                            @ strides)
-                        cnt = len(idx)
-                        for ai, arr in enumerate(prog.arrays):
+                    for r, cells, off in step.recvs:
+                        payload, got = yield Recv(source=r.src_rank,
+                                                  tag=r.tag)
+                        assert got == r.nelems, (
+                            f"size mismatch at {step.tile} from "
+                            f"{r.pred}: {got} != {r.nelems}")
+                        yield Compute(spec.pack_time(r.nelems))
+                        flat = cells + off
+                        cnt = len(flat)
+                        for ai, arr in enumerate(arrays):
                             local[arr][flat] = \
                                 payload[ai * cnt:(ai + 1) * cnt]
                     # COMPUTE ------------------------------------------------
-                    yield Compute(spec.compute_time(
-                        prog.tile_point_count(tile)))
-                    origin = np.asarray(tiling.tile_origin(tile),
-                                        dtype=np.int64)
-                    if nk is not None:
-                        nk.run_tile(tile, t, origin)
-                    for batch in (() if nk is not None
-                                  else tile_batches(tile)):
-                        jp = lat[batch]
-                        g = tis[batch] + origin
-                        wflat = to_flat(jp, t)
-
-                        def gather(rp: ReadPlan, gpts: np.ndarray,
-                                   _jp: np.ndarray = jp,
-                                   _t: int = t) -> np.ndarray:
-                            assert rp.dep is not None
-                            assert rp.dep_prime is not None
-                            flat = to_flat(_jp - rp.dep_prime, _t)
-                            # Out-of-domain sources can address outside
-                            # the LDS; clip, then overwrite below.
-                            vals = local[rp.ref.array][
-                                np.clip(flat, 0, size - 1)]
-                            in_dom = np.all(
-                                amat @ (gpts - rp.dep).T
-                                <= bvec[:, None], axis=0)
-                            if not in_dom.all():
-                                fix_out_of_domain(vals, rp.ref, gpts,
-                                                  in_dom, init_value)
-                            return vals
-
-                        for plan in plans:
-                            out = evaluate_statement_batch(
-                                plan, g, gather, dtype)
-                            local[plan.stmt.write.array][wflat] = out
+                    yield Compute(spec.compute_time(step.points))
+                    compute(step)
                     # SEND ---------------------------------------------------
-                    for dm, dst in prog.send_plan(tile):
-                        full_dir = dm[:m] + (0,) + dm[m:]
-                        region = prog.region_mask(tile, full_dir)
-                        count = int(region.sum())
-                        if count == 0:
-                            continue
-                        nelems = count * narr
-                        yield Compute(spec.pack_time(nelems))
-                        idx = lex_order[region[lex_order]]
-                        flat = to_flat(lat[idx], t)
+                    for s, cells, off in step.sends:
+                        yield Compute(spec.pack_time(s.nelems))
+                        flat = cells + off
                         payload = np.concatenate(
-                            [local[a][flat] for a in prog.arrays])
-                        yield Send(dest=prog.rank_of[dst],
-                                   tag=prog.message_tag(dm),
-                                   nelems=nelems, payload=payload)
+                            [local[a][flat] for a in arrays])
+                        yield Send(dest=s.dst_rank, tag=s.tag,
+                                   nelems=s.nelems, payload=payload)
                 # WRITE-BACK (outside the timed region, as in execute).
-                for tile in dist.tiles_of(pid):
-                    t = dist.chain_index(tile)
-                    mask_idx = np.nonzero(prog.tile_mask(tile))[0]
-                    if not len(mask_idx):
-                        continue
-                    origin = np.asarray(tiling.tile_origin(tile),
-                                        dtype=np.int64)
-                    g = tis[mask_idx] + origin
-                    flat = to_flat(lat[mask_idx], t)
-                    for plan in plans:
-                        arr = plan.stmt.write.array
-                        field = fields[arr]
-                        cells = plan.write_indexer.cells(g)
-                        loc = tuple((cells - np.asarray(
-                            field.origin, dtype=np.int64)).T)
-                        field.values[loc] = local[arr][flat]
-                        field.written[loc] = True
+                write_back(replay, geo, local, fields)
             return node
 
         programs = {prog.rank_of[pid]: make_program(pid)

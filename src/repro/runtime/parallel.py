@@ -87,6 +87,7 @@ from repro.runtime.dense import (
     fix_out_of_domain,
 )
 from repro.runtime.machine import ClusterSpec
+from repro.runtime.replay import TileStep, rank_replay
 from repro.runtime.trace import EventTrace
 from repro.runtime.vmpi import RunStats
 
@@ -500,10 +501,14 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
     size = int(lds.cells)
     off_np = np.asarray(lds.offsets, dtype=np.int64)
     local = {a: np.zeros(size, dtype=dtype) for a in prog.arrays}
-    native_rt = (native.runtime(prog, init_value, dtype)
+    native_rt = (native.runtime(prog, init_value, dtype, plans=plans)
                  if native is not None else None)
-    nk = (native_rt.for_rank(lds, local)
-          if native_rt is not None else None)
+    nk = None
+    steps: Tuple[TileStep, ...] = ()
+    if native_rt is not None:
+        replay = rank_replay(prog, rank)
+        nk = native_rt.for_rank(replay, local)
+        steps = replay.steps
     thresh = spec.rendezvous_threshold
 
     def to_flat(jp: np.ndarray, t: int) -> np.ndarray:
@@ -631,7 +636,7 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
             origin = np.asarray(tiling.tile_origin(tile),
                                 dtype=np.int64)
             if nk is not None:
-                nk.run_tile(tile, t, origin)
+                nk.run_tile(steps[ti])
             else:
                 for batch in tile_batches(tile):
                     compute_batch(batch, t, origin)
@@ -743,7 +748,7 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
                 bnd = oplan.boundary[li]
                 if len(bnd):
                     if nk is not None:
-                        nk.run_segment(tile, t, origin, bnd)
+                        nk.run_segment(steps[ti], bnd)
                     else:
                         compute_batch(bnd, t, origin)
                 # scatter the freshly-final values into every message
@@ -804,7 +809,7 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
                 intr = oplan.interior[li]
                 if len(intr):
                     if nk is not None:
-                        nk.run_segment(tile, t, origin, intr)
+                        nk.run_segment(steps[ti], intr)
                     else:
                         compute_batch(intr, t, origin)
             for om in outs:
@@ -1130,6 +1135,9 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     if overlap:
         program.prewarm_overlap_plans()
     plans = build_rank_plans(program)
+    if native is not None and native.available:
+        for rank in plans:
+            rank_replay(program, rank)
     edges = build_edges(plans, mailbox_depth)
     meta_words = max(1, sum(2 + e.depth for e in edges.values()))
     data_words = max(1, sum(e.depth * e.capacity

@@ -67,6 +67,7 @@ class TilingTransformation:
         self._base_vals_cache: Optional[np.ndarray] = None
         self._mask_cache: Dict[Tuple[int, ...], np.ndarray] = {}
         self._classify_cache: Dict[Tuple[int, ...], str] = {}
+        self._origin_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     # -- basic maps --------------------------------------------------------------
 
@@ -76,9 +77,15 @@ class TilingTransformation:
         return tuple(math.floor(x) for x in img)
 
     def tile_origin(self, j_s: Sequence[int]) -> Tuple[int, ...]:
-        """``P j^S`` — the anchor point of tile ``j^S`` in ``J^n``."""
-        img = self.p.matvec(j_s)
-        return tuple(int(x) for x in img)
+        """``P j^S`` — the anchor point of tile ``j^S`` in ``J^n``.
+        Cached per tile as exact ints (the runtimes ask once per tile
+        per run)."""
+        key = tuple(int(x) for x in j_s)
+        origin = self._origin_cache.get(key)
+        if origin is None:
+            origin = tuple(int(x) for x in self.p.matvec(key))
+            self._origin_cache[key] = origin
+        return origin
 
     def tile_volume(self) -> int:
         return self.ttis.tile_volume
