@@ -13,7 +13,7 @@ numpy path without ceremony.
 
 The runtime side adds no index algebra of its own: each tile's
 addresses come from the program's cached replay plan
-(:mod:`repro.runtime.replay`), the same one the dense engine walks:
+(:mod:`repro.runtime.replay`), the same one both data engines walk:
 
 * the LDS flat address of lattice point ``i`` of the tile with chain
   index ``t`` is ``wbase[i] + shift`` (``rbase[site][i] + shift`` for
@@ -311,7 +311,8 @@ class _TileCtx:
 
 
 class RankKernels:
-    """One rank's native executor over its LDS buffers.
+    """One rank's native executor over its LDS buffers (the twin of
+    :class:`repro.runtime.replay.NumpyKernels`).
 
     ``run_tile`` executes a whole tile (all wavefront levels, one C
     call); ``run_segment`` executes one (sub-)batch — the overlap

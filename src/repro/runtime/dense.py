@@ -251,7 +251,6 @@ class ReadPlan:
     site: Tuple[int, int]              # (statement, read) index
     dep: Optional[np.ndarray]          # int64 (n,), None for pure inputs
     table: Optional[InputTable]        # set exactly when dep is None
-    dep_prime: Optional[np.ndarray] = None  # TTIS-transformed (drivers)
 
 
 @dataclass

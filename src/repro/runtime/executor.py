@@ -43,21 +43,19 @@ from repro.linalg.ratmat import RatMat
 from repro.loops.nest import LoopNest
 from repro.runtime.dataspace import DenseField
 from repro.runtime.dense import (
-    ReadPlan,
     TileOverlapPlan,
     build_overlap_split,
     build_statement_plans,
-    evaluate_statement_batch,
     level_batches,
     read_dependences,
     wavefront_vector,
 )
 from repro.runtime.machine import ClusterSpec
 from repro.runtime.replay import (
+    NumpyKernels,
     RankReplay,
     ReplayGeometry,
-    TileStep,
-    boundary_fill,
+    TileKernels,
     rank_replay,
     replay_geometry,
     write_back,
@@ -149,6 +147,9 @@ class TiledProgram:
         self._dense_full_batches: Optional[List[np.ndarray]] = None
         self._lex_order: Optional[np.ndarray] = None
         self._overlap_cache: Dict[object, TileOverlapPlan] = {}
+        # tile -> (shape key, send dirs, recv dirs) of its overlap plan
+        self._overlap_keys: Dict[
+            Tile, Tuple[object, Tuple[Tile, ...], Tuple[Tile, ...]]] = {}
         self._hb_cache: Dict[object, HBCertificate] = {}
         self._cost_cache: Dict[object, CostCertificate] = {}
         self._points_cache: Dict[Tile, int] = {}
@@ -285,16 +286,18 @@ class TiledProgram:
         A compile-time artifact: full tiles with the same message
         signature share one plan (the lattice, batches and regions are
         position-independent for interior tiles); partial tiles get
-        their own, keyed by tile.
+        their own, keyed by tile.  Each tile's key is memoised, so a
+        warm call re-derives no message signature.
         """
-        sends, recvs = self.overlap_directions(tile)
-        key: object
-        if self.tiling.classify_tile(tile) == "full":
-            key = ("full", sends, recvs)
-        else:
-            key = (tile, sends, recvs)
+        key = self._overlap_keys.get(tile)
+        if key is None:
+            sends, recvs = self.overlap_directions(tile)
+            key = ("full" if self.tiling.classify_tile(tile) == "full"
+                   else tile, sends, recvs)
+            self._overlap_keys[tile] = key
         plan = self._overlap_cache.get(key)
         if plan is None:
+            _, sends, recvs = key
             plan = build_overlap_split(
                 self.tiling.ttis.lattice_points_np(),
                 self.dense_lex_order(),
@@ -810,7 +813,6 @@ class DistributedRun:
         prog = self.program
         spec = self.spec
         arrays = prog.arrays
-        tis = prog.tiling.ttis.tis_points_np()
         geo = replay_geometry(prog)
         plans = build_statement_plans(prog.nest, init_value, dtype)
         native_rt = (native.runtime(prog, init_value, dtype, plans=plans)
@@ -821,43 +823,15 @@ class DistributedRun:
                                 written=np.zeros(w.shape, dtype=bool))
             for w in geo.writes
         }
-
-        def numpy_step(replay: RankReplay, local: Dict[str, np.ndarray],
-                       ) -> Callable[[TileStep], None]:
-            """The numpy kernels over one tile's wavefront levels."""
-            wbase, rbase = replay.bases.wbase, replay.bases.rbase
-            top = replay.size - 1
-
-            def run(step: TileStep) -> None:
-                fixes = {site: (oob.view(np.bool_), fix) for site, oob, fix
-                         in boundary_fill(step, geo.nlat, init_value,
-                                          dtype)}
-                for batch in prog.dense_level_batches(step.tile):
-                    def gather(rp: ReadPlan, _g: np.ndarray,
-                               _b: np.ndarray = batch) -> np.ndarray:
-                        # Out-of-domain sources can address outside the
-                        # LDS; clip, then overwrite with the boundary.
-                        vals = local[rp.ref.array][np.clip(
-                            rbase[rp.site][_b] + step.shift, 0, top)]
-                        fx = fixes.get(rp.site)
-                        if fx is not None:
-                            oob = fx[0][_b]
-                            vals[oob] = fx[1][_b][oob]
-                        return vals
-
-                    g = tis[batch] + step.origin
-                    wflat = wbase[batch] + step.shift
-                    for plan in plans:
-                        local[plan.stmt.write.array][wflat] = \
-                            evaluate_statement_batch(plan, g, gather, dtype)
-            return run
+        arrays_out = {a: (f.values, f.written) for a, f in fields.items()}
 
         def make_program(pid: Pid) -> NodeFn:
             replay = rank_replay(prog, prog.rank_of[pid])
             local = {a: np.zeros(replay.size, dtype=dtype) for a in arrays}
-            compute = (native_rt.for_rank(replay, local).run_tile
-                       if native_rt is not None
-                       else numpy_step(replay, local))
+            kernels: TileKernels = (
+                native_rt.for_rank(replay, local) if native_rt is not None
+                else NumpyKernels(prog, replay, local, init_value, plans,
+                                  dtype))
 
             def node(api: RankApi) -> Generator:
                 for step in replay.steps:
@@ -876,7 +850,7 @@ class DistributedRun:
                                 payload[ai * cnt:(ai + 1) * cnt]
                     # COMPUTE ------------------------------------------------
                     yield Compute(spec.compute_time(step.points))
-                    compute(step)
+                    kernels.run_tile(step)
                     # SEND ---------------------------------------------------
                     for s, cells, off in step.sends:
                         yield Compute(spec.pack_time(s.nelems))
@@ -886,7 +860,7 @@ class DistributedRun:
                         yield Send(dest=s.dst_rank, tag=s.tag,
                                    nelems=s.nelems, payload=payload)
                 # WRITE-BACK (outside the timed region, as in execute).
-                write_back(replay, geo, local, fields)
+                write_back(replay, geo, local, arrays_out)
             return node
 
         programs = {prog.rank_of[pid]: make_program(pid)

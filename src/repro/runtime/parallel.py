@@ -7,8 +7,9 @@ compiled schedule in parallel on the host:
 
 * each processor ``pid`` of the :class:`~repro.runtime.executor.
   TiledProgram` becomes (up to ``workers``) an OS process owning its
-  dense LDS buffers, executing its tile chain in paper order with the
-  same batched wavefront kernels as the dense engine;
+  dense LDS buffers, replaying its tile chain in paper order from the
+  same cached per-rank plan as the dense engine
+  (:func:`~repro.runtime.replay.rank_replay`);
 * halos move through *lock-free per-edge shared-memory mailboxes*: one
   single-producer/single-consumer ring buffer per directed
   ``(src_rank, dst_rank, tag)`` edge, sized at compile time from the
@@ -21,9 +22,10 @@ compiled schedule in parallel on the host:
   picks per message from :attr:`ClusterSpec.rendezvous_threshold`,
   exactly like the simulator.
 
-Correctness story: the per-tile computation is byte-for-byte the dense
-engine's (same level batches, same gathers, same ``kernel_np``
-expressions), and messages carry the exact values the dense engine
+Correctness story: every address comes from the rank's replay plan
+and every tile runs on the same executor as in ``execute_dense``
+(:class:`~repro.runtime.replay.NumpyKernels` or the native
+``RankKernels``), and messages carry the exact values the dense engine
 packs, so results are **bitwise identical** (``tol=0.0``) to
 ``execute_dense`` — the tests pin this down.  The returned
 :class:`~repro.runtime.vmpi.RunStats` carries *measured* wall-clock
@@ -61,6 +63,7 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from multiprocessing import shared_memory as _shm
 from typing import (
@@ -80,14 +83,17 @@ import numpy as np
 from repro.runtime.dataspace import DenseField
 from repro.runtime.dense import (
     EdgePackPlan,
-    ReadPlan,
     build_statement_plans,
-    evaluate_statement_batch,
     field_for_write,
-    fix_out_of_domain,
 )
 from repro.runtime.machine import ClusterSpec
-from repro.runtime.replay import TileStep, rank_replay
+from repro.runtime.replay import (
+    NumpyKernels,
+    TileKernels,
+    rank_replay,
+    replay_geometry,
+    write_back,
+)
 from repro.runtime.trace import EventTrace
 from repro.runtime.vmpi import RunStats
 
@@ -136,6 +142,11 @@ class TileRecv:
     nelems: int
     pred: Tile
     ds: Tile
+
+
+#: One receive of a rank's replay plan: the message, its region cells
+#: and the flat offset that places them in the LDS halo.
+_Recv = Tuple[TileRecv, np.ndarray, int]
 
 
 @dataclass(frozen=True)
@@ -191,8 +202,7 @@ class _RunConfig:
     collect_trace: bool
     crash_rank: Optional[int]
     overlap: bool
-    field_layout: Tuple[Tuple[str, Tuple[int, ...], Tuple[int, ...]],
-                        ...]            # (array, origin, shape)
+    field_layout: Tuple[Tuple[str, Tuple[int, ...]], ...]  # (array, shape)
     #: Native kernel library (repro.native), or None for numpy compute.
     #: Workers re-dlopen the cached .so by path after the pickle trip.
     native: Optional["NativeKernelLibrary"] = None
@@ -436,12 +446,11 @@ class _OutMsg:
 
 
 def _rank_generator(program: TiledProgram, spec: ClusterSpec,
-                    init_value: InitFn, plan: RankPlan,
+                    init_value: InitFn, rank: int,
                     edges: Dict[EdgeKey, _Edge], dtype: np.dtype,
                     protocol: str, ctrl: np.ndarray,
                     clocks: _RankClocks,
                     fields: Dict[str, Tuple[np.ndarray, np.ndarray]],
-                    origins: Dict[str, np.ndarray],
                     progress: List[int],
                     events: Optional[List[Event]],
                     t0_ns: int,
@@ -451,8 +460,10 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
                     ) -> Generator[None, None, None]:
     """One rank's node program as a cooperative generator.
 
-    Identical math to ``DistributedRun.execute_dense`` (same batches,
-    gathers and kernels — that is what makes results bitwise equal);
+    Replays the same cached per-rank plan as
+    ``DistributedRun.execute_dense`` (:func:`~repro.runtime.replay.
+    rank_replay`: region cells, chain shifts, tile origins, boundary
+    cells) with the same tile executor, so results are bitwise equal;
     only the transport differs: real shared-memory mailboxes instead
     of simulator yields.  The generator yields exactly when a mailbox
     would block, letting the worker scheduler run its other ranks.
@@ -470,51 +481,17 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
     schedule does not have.
     """
     prog = program
-    nest = prog.nest
-    tiling = prog.tiling
-    ttis = tiling.ttis
-    dist = prog.dist
-    n = prog.n
-    m = dist.m
-    rank = plan.rank
-    lat = ttis.lattice_points_np()
-    tis = ttis.tis_points_np()
-    lex_order = np.lexsort(lat.T[::-1])
-    amat, bvec = tiling._amat, tiling._bvec
-    v_np = np.asarray(ttis.v, dtype=np.int64)
-    c_np = np.asarray(ttis.c, dtype=np.int64)
-    rows_np = v_np // c_np
-    plans = build_statement_plans(nest, init_value, dtype)
-    for splan in plans:
-        for rp in splan.reads:
-            if rp.dep is not None:
-                dp = ttis.transformed_dependences(
-                    [tuple(int(x) for x in rp.dep)])[0]
-                rp.dep_prime = np.asarray(dp, dtype=np.int64)
-    tile_batches = prog.dense_level_batches
-
-    lds = prog.addressing.lds_for(plan.pid)
-    shape = np.asarray(lds.shape, dtype=np.int64)
-    strides = np.ones(n, dtype=np.int64)
-    for k in reversed(range(n - 1)):
-        strides[k] = strides[k + 1] * shape[k + 1]
-    size = int(lds.cells)
-    off_np = np.asarray(lds.offsets, dtype=np.int64)
-    local = {a: np.zeros(size, dtype=dtype) for a in prog.arrays}
+    arrays = prog.arrays
+    replay = rank_replay(prog, rank)
+    wbase = replay.bases.wbase
+    local = {a: np.zeros(replay.size, dtype=dtype) for a in arrays}
+    plans = build_statement_plans(prog.nest, init_value, dtype)
     native_rt = (native.runtime(prog, init_value, dtype, plans=plans)
                  if native is not None else None)
-    nk = None
-    steps: Tuple[TileStep, ...] = ()
-    if native_rt is not None:
-        replay = rank_replay(prog, rank)
-        nk = native_rt.for_rank(replay, local)
-        steps = replay.steps
+    kernels: TileKernels = (
+        native_rt.for_rank(replay, local) if native_rt is not None
+        else NumpyKernels(prog, replay, local, init_value, plans, dtype))
     thresh = spec.rendezvous_threshold
-
-    def to_flat(jp: np.ndarray, t: int) -> np.ndarray:
-        shifted = jp.copy()
-        shifted[:, m] += t * int(v_np[m])
-        return (shifted // c_np + off_np) @ strides
 
     def rendezvous(nelems: int) -> bool:
         if protocol == "eager":
@@ -527,60 +504,36 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
     def now() -> int:
         return time.perf_counter_ns() - t0_ns
 
-    def unpack_halo(r: TileRecv, payload: np.ndarray, tile: Tile,
-                    t: int) -> None:
-        """Scatter one received region into the LDS halo slots."""
-        if len(payload) != r.nelems:
-            raise ParallelRuntimeError(
-                f"rank {rank}: size mismatch at {tile} from "
-                f"{r.pred}: {len(payload)} != {r.nelems}")
-        region = prog.region_mask(r.pred, r.ds)
-        idx = lex_order[region[lex_order]]
-        flat = to_flat(lat[idx], t) - int(
-            (np.asarray(r.ds, dtype=np.int64) * rows_np) @ strides)
-        cnt = len(idx)
-        for ai, arr in enumerate(prog.arrays):
-            local[arr][flat] = payload[ai * cnt:(ai + 1) * cnt]
-
-    def compute_batch(batch: np.ndarray, t: int,
-                      origin: np.ndarray) -> None:
-        """One wavefront (sub-)batch, exactly as the dense engine."""
-        jp = lat[batch]
-        g = tis[batch] + origin
-        wflat = to_flat(jp, t)
-
-        def gather(rp: ReadPlan, gpts: np.ndarray,
-                   _jp: np.ndarray = jp, _t: int = t) -> np.ndarray:
-            assert rp.dep is not None
-            assert rp.dep_prime is not None
-            flat = to_flat(_jp - rp.dep_prime, _t)
-            # Out-of-domain sources can address outside the LDS;
-            # clip, then overwrite below (same as execute_dense).
-            vals = local[rp.ref.array][np.clip(flat, 0, size - 1)]
-            in_dom = np.all(amat @ (gpts - rp.dep).T
-                            <= bvec[:, None], axis=0)
-            if not in_dom.all():
-                fix_out_of_domain(vals, rp.ref, gpts, in_dom,
-                                  init_value)
-            return vals
-
-        for splan in plans:
-            out = evaluate_statement_batch(splan, g, gather, dtype)
-            local[splan.stmt.write.array][wflat] = out
+    def wait(ready: Callable[[], bool]) -> Generator[None, None, None]:
+        """Yield to the worker's other ranks until ``ready()``."""
+        while not ready():
+            if ctrl[1]:
+                raise _Abort
+            yield
 
     # comm ns accumulated inside the current tile (overlap mode infers
     # compute as tile-span minus measured comm; a cell so the helpers
     # below can add to it).
     commtile = [0]
 
-    def recv_ready(r: TileRecv, edge: _Edge, tile: Tile, t: int,
+    def recv_ready(rc: _Recv, edge: _Edge, tile: Tile,
                    w0: Optional[int] = None) -> None:
         """Unpack the (already arrived) head message of ``edge``
-        zero-copy: scatter straight out of the ring slot, then
-        release it.  ``w0`` carries wait time already spent."""
+        zero-copy: scatter straight out of the ring slot into the LDS
+        halo cells, then release it.  ``w0`` carries wait time already
+        spent."""
         if w0 is None:
             w0 = now()
-        unpack_halo(r, edge.peek(), tile, t)
+        r, cells, off = rc
+        payload = edge.peek()
+        if len(payload) != r.nelems:
+            raise ParallelRuntimeError(
+                f"rank {rank}: size mismatch at {tile} from "
+                f"{r.pred}: {len(payload)} != {r.nelems}")
+        flat = cells + off
+        cnt = len(flat)
+        for ai, arr in enumerate(arrays):
+            local[arr][flat] = payload[ai * cnt:(ai + 1) * cnt]
         edge.release()
         progress[0] += 1
         w1 = now()
@@ -591,19 +544,32 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
             events.append(("recv", w0, w1, r.src_rank, r.tag,
                            r.nelems))
 
-    def drain_ready(due: List[Tuple[int, TileRecv, _Edge]],
-                    tile: Tile, t: int) -> bool:
+    def sent(s: TileSend, start: int, end: int) -> None:
+        """Count one published message (its comm time is the
+        caller's)."""
+        clocks.sends += 1
+        clocks.elems_sent += s.nelems
+        ekey = (rank, s.dst_rank, s.tag)
+        clocks.edge_msgs[ekey] = clocks.edge_msgs.get(ekey, 0) + 1
+        clocks.edge_elems[ekey] = \
+            clocks.edge_elems.get(ekey, 0) + s.nelems
+        if events is not None:
+            events.append(("send", start, end, s.dst_rank, s.tag,
+                           s.nelems))
+
+    def drain_ready(due: List[Tuple[int, _Recv, _Edge]],
+                    tile: Tile) -> bool:
         """Pop arrived-but-deferred halos while blocked elsewhere
         (first remaining message per edge only — rings are FIFO).
         Keeps the lazy receives from ever extending a wait cycle."""
         did = False
         blocked: Set[Tuple[int, int]] = set()
-        still: List[Tuple[int, TileRecv, _Edge]] = []
+        still: List[Tuple[int, _Recv, _Edge]] = []
         for item in due:
-            _need, r, edge = item
-            key = (r.src_rank, r.tag)
+            _need, rc, edge = item
+            key = (rc[0].src_rank, rc[0].tag)
             if key not in blocked and edge.can_pop():
-                recv_ready(r, edge, tile, t)
+                recv_ready(rc, edge, tile)
                 did = True
             else:
                 blocked.add(key)
@@ -612,34 +578,17 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
         return did
 
     if not overlap:
-        for ti, tile in enumerate(plan.tiles):
-            t = dist.chain_index(tile)
+        for step in replay.steps:
             # RECEIVE (receive-per-tile: unpack predecessor regions) ----
-            for r in plan.recvs[ti]:
+            for rc in step.recvs:
+                r = rc[0]
                 edge = edges[(r.src_rank, rank, r.tag)]
                 w0 = now()
-                while not edge.can_pop():
-                    if ctrl[1]:
-                        raise _Abort
-                    yield
-                payload = edge.pop()
-                progress[0] += 1
-                unpack_halo(r, payload, tile, t)
-                w1 = now()
-                clocks.comm_ns += w1 - w0
-                clocks.recvs += 1
-                if events is not None:
-                    events.append(("recv", w0, w1, r.src_rank, r.tag,
-                                   r.nelems))
+                yield from wait(edge.can_pop)
+                recv_ready(rc, edge, step.tile, w0)
             # COMPUTE (batched wavefront levels, as the dense engine) ---
             c0 = now()
-            origin = np.asarray(tiling.tile_origin(tile),
-                                dtype=np.int64)
-            if nk is not None:
-                nk.run_tile(steps[ti])
-            else:
-                for batch in tile_batches(tile):
-                    compute_batch(batch, t, origin)
+            kernels.run_tile(step)
             c1 = now()
             clocks.compute_ns += c1 - c0
             if events is not None:
@@ -648,43 +597,24 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
                 raise RuntimeError(
                     f"injected crash in rank {rank} (test hook)")
             # SEND (pack-per-processor: one per successor pid) ----------
-            for s in plan.sends[ti]:
+            for s, cells, off in step.sends:
                 edge = edges[(rank, s.dst_rank, s.tag)]
                 w0 = now()
-                region = prog.region_mask(tile, s.direction)
-                idx = lex_order[region[lex_order]]
-                flat = to_flat(lat[idx], t)
+                flat = cells + off
                 payload = np.concatenate([local[a][flat]
-                                          for a in prog.arrays])
-                while not edge.can_push():
-                    if ctrl[1]:
-                        raise _Abort
-                    yield
+                                          for a in arrays])
+                yield from wait(edge.can_push)
                 msgno = edge.push(payload)
                 progress[0] += 1
                 if rendezvous(s.nelems):
-                    while not edge.consumed(msgno):
-                        if ctrl[1]:
-                            raise _Abort
-                        yield
+                    yield from wait(partial(edge.consumed, msgno))
                 w1 = now()
                 clocks.comm_ns += w1 - w0
-                clocks.sends += 1
-                clocks.elems_sent += s.nelems
-                ekey = (rank, s.dst_rank, s.tag)
-                clocks.edge_msgs[ekey] = clocks.edge_msgs.get(ekey, 0) + 1
-                clocks.edge_elems[ekey] = \
-                    clocks.edge_elems.get(ekey, 0) + s.nelems
-                if events is not None:
-                    events.append(("send", w0, w1, s.dst_rank, s.tag,
-                                   s.nelems))
+                sent(s, w0, w1)
     else:
-        for ti, tile in enumerate(plan.tiles):
-            t = dist.chain_index(tile)
-            origin = np.asarray(tiling.tile_origin(tile),
-                                dtype=np.int64)
+        for step in replay.steps:
+            tile = step.tile
             oplan = prog.overlap_plan(tile)
-            nlev = oplan.nlevels
             tile0 = now()
             commtile[0] = 0
             # Outgoing: reserve a ring slot per message so boundary
@@ -692,7 +622,7 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
             # falls back to a staging buffer (reservation never
             # blocks — blocking here would forfeit the overlap).
             outs: List[_OutMsg] = []
-            for s, pk in zip(plan.sends[ti], oplan.packs):
+            for (s, _cells, _off), pk in zip(step.sends, oplan.packs):
                 edge = edges[(rank, s.dst_rank, s.tag)]
                 view = edge.reserve(s.nelems)
                 if view is None:
@@ -712,45 +642,39 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
             needs = list(oplan.recv_need)
             floor: Dict[Tuple[int, int], int] = {}
             for i in reversed(range(len(needs))):
-                rkey = (plan.recvs[ti][i].src_rank,
-                        plan.recvs[ti][i].tag)
+                rkey = (step.recvs[i][0].src_rank, step.recvs[i][0].tag)
                 needs[i] = min(needs[i], floor.get(rkey, needs[i]))
                 floor[rkey] = needs[i]
-            due: List[Tuple[int, TileRecv, _Edge]] = []
+            due: List[Tuple[int, _Recv, _Edge]] = []
             deferred: Set[Tuple[int, int]] = set()
-            for r, need in zip(plan.recvs[ti], needs):
+            for rc, need in zip(step.recvs, needs):
+                r = rc[0]
                 edge = edges[(r.src_rank, rank, r.tag)]
                 rkey = (r.src_rank, r.tag)
                 if rkey not in deferred and edge.can_pop():
-                    recv_ready(r, edge, tile, t)
+                    recv_ready(rc, edge, tile)
                 else:
                     deferred.add(rkey)
-                    due.append((need, r, edge))
-            for li in range(nlev):
+                    due.append((need, rc, edge))
+            for li in range(oplan.nlevels):
                 # halos whose first reader sits on this level: block
                 # now if they have not arrived (plan order preserves
                 # per-edge FIFO — needs are monotone along an edge)
                 if due:
-                    still: List[Tuple[int, TileRecv, _Edge]] = []
+                    still: List[Tuple[int, _Recv, _Edge]] = []
                     for item in due:
-                        need, r, edge = item
+                        need, rc, edge = item
                         if need > li:
                             still.append(item)
                             continue
                         w0 = now()
-                        while not edge.can_pop():
-                            if ctrl[1]:
-                                raise _Abort
-                            yield
-                        recv_ready(r, edge, tile, t, w0)
+                        yield from wait(edge.can_pop)
+                        recv_ready(rc, edge, tile, w0)
                     due = still
                 # boundary first: these values feed outgoing regions
                 bnd = oplan.boundary[li]
                 if len(bnd):
-                    if nk is not None:
-                        nk.run_segment(steps[ti], bnd)
-                    else:
-                        compute_batch(bnd, t, origin)
+                    kernels.run_segment(step, bnd)
                 # scatter the freshly-final values into every message
                 # this level contributes to (zero-copy for reserved
                 # slots: this writes shared memory directly)
@@ -761,10 +685,10 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
                     w0 = now()
                     if om.first_ns < 0:
                         om.first_ns = w0
-                    flat = to_flat(lat[lat_idx], t)
+                    flat = wbase[lat_idx] + step.shift
                     pos = om.pack.level_pos[li]
                     cnt = om.pack.count
-                    for ai, arr in enumerate(prog.arrays):
+                    for ai, arr in enumerate(arrays):
                         om.buf[ai * cnt + pos] = local[arr][flat]
                     dns = now() - w0
                     clocks.comm_ns += dns
@@ -786,7 +710,7 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
                         while not om.edge.can_push():
                             if ctrl[1]:
                                 raise _Abort
-                            if not drain_ready(due, tile, t):
+                            if not drain_ready(due, tile):
                                 yield
                         om.msgno = om.edge.push(om.buf)
                     om.committed = True
@@ -794,24 +718,11 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
                     w1 = now()
                     clocks.comm_ns += w1 - w0
                     commtile[0] += w1 - w0
-                    clocks.sends += 1
-                    clocks.elems_sent += om.send.nelems
-                    ekey = (rank, om.send.dst_rank, om.send.tag)
-                    clocks.edge_msgs[ekey] = \
-                        clocks.edge_msgs.get(ekey, 0) + 1
-                    clocks.edge_elems[ekey] = \
-                        clocks.edge_elems.get(ekey, 0) + om.send.nelems
-                    if events is not None:
-                        events.append(("send", om.first_ns, w1,
-                                       om.send.dst_rank, om.send.tag,
-                                       om.send.nelems))
+                    sent(om.send, om.first_ns, w1)
                 # interior: consumers drain the ring while this runs
                 intr = oplan.interior[li]
                 if len(intr):
-                    if nk is not None:
-                        nk.run_segment(steps[ti], intr)
-                    else:
-                        compute_batch(intr, t, origin)
+                    kernels.run_segment(step, intr)
             for om in outs:
                 if not om.committed:
                     raise ParallelRuntimeError(
@@ -821,13 +732,10 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
             # halos deferred past every level (possible only for an
             # empty tile) must still land before the next tile
             while due:
-                _need, r, edge = due.pop(0)
+                _need, rc, edge = due.pop(0)
                 w0 = now()
-                while not edge.can_pop():
-                    if ctrl[1]:
-                        raise _Abort
-                    yield
-                recv_ready(r, edge, tile, t, w0)
+                yield from wait(edge.can_pop)
+                recv_ready(rc, edge, tile, w0)
             if crash:
                 raise RuntimeError(
                     f"injected crash in rank {rank} (test hook)")
@@ -836,10 +744,7 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
             for om in outs:
                 if rendezvous(om.send.nelems):
                     w0 = now()
-                    while not om.edge.consumed(om.msgno):
-                        if ctrl[1]:
-                            raise _Abort
-                        yield
+                    yield from wait(partial(om.edge.consumed, om.msgno))
                     dns = now() - w0
                     clocks.comm_ns += dns
                     commtile[0] += dns
@@ -850,26 +755,12 @@ def _rank_generator(program: TiledProgram, spec: ClusterSpec,
                 events.append(("compute", tile0, tile1, -1, -1, 0))
     clocks.clock_ns = now()
     # WRITE-BACK (outside the timed region, as in the other engines) ----
-    for tile in plan.tiles:
-        t = dist.chain_index(tile)
-        mask_idx = np.nonzero(prog.tile_mask(tile))[0]
-        if not len(mask_idx):
-            continue
-        origin = np.asarray(tiling.tile_origin(tile), dtype=np.int64)
-        g = tis[mask_idx] + origin
-        flat = to_flat(lat[mask_idx], t)
-        for splan in plans:
-            arr = splan.stmt.write.array
-            values, written = fields[arr]
-            cells = splan.write_indexer.cells(g)
-            loc = tuple((cells - origins[arr]).T)
-            values[loc] = local[arr][flat]
-            written[loc] = 1
+    write_back(replay, replay_geometry(prog), local, fields)
 
 
 def _worker_main(worker_id: int, ranks: Tuple[int, ...],
                  program: TiledProgram, spec: ClusterSpec,
-                 init_value: InitFn, plans: Dict[int, RankPlan],
+                 init_value: InitFn,
                  edge_specs: Dict[EdgeKey, EdgeSpec],
                  segments: _Segments, cfg: _RunConfig,
                  error_q: Any, trace_q: Any) -> None:
@@ -902,20 +793,17 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
                      [:nedges * 2].reshape(nedges, 2)
                      if nedges else None)
         edge_index = {key: i for i, key in enumerate(sorted(edge_specs))}
-        layout = {name: (origin, shp)
-                  for name, origin, shp in cfg.field_layout}
+        layout = dict(cfg.field_layout)
         fields: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        origins: Dict[str, np.ndarray] = {}
         for name, values_nm, written_nm in segments.fields:
             vseg = _attach(values_nm)
             wseg = _attach(written_nm)
             segs += [vseg, wseg]
-            origin, shp = layout[name]
+            shp = layout[name]
             values = np.frombuffer(vseg.buf, dtype=dtype).reshape(shp)
             written = np.frombuffer(wseg.buf,
                                     dtype=np.uint8).reshape(shp)
             fields[name] = (values, written)
-            origins[name] = np.asarray(origin, dtype=np.int64)
         my_edges: Dict[EdgeKey, _Edge] = {
             key: _Edge(espec, meta, data)
             for key, espec in edge_specs.items()
@@ -938,8 +826,8 @@ def _worker_main(worker_id: int, ranks: Tuple[int, ...],
             if ev is not None:
                 per_rank_events[r] = ev
             gens[r] = _rank_generator(
-                program, spec, init_value, plans[r], my_edges, dtype,
-                cfg.protocol, ctrl, clocks[r], fields, origins,
+                program, spec, init_value, r, my_edges, dtype,
+                cfg.protocol, ctrl, clocks[r], fields,
                 progress, ev, t0_ns, crash=(cfg.crash_rank == r),
                 overlap=cfg.overlap, native=cfg.native)
         live = list(ranks)
@@ -1129,21 +1017,21 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
     workers = max(1, min(int(workers), nranks))
     np_dtype = np.dtype(dtype)
 
-    # Freeze the schedule and prewarm every region mask/count before
-    # forking, so children share the caches copy-on-write.
+    # Freeze the schedule and prewarm every region count, overlap plan
+    # and rank replay plan before forking, so children share the
+    # caches copy-on-write.
     program.prewarm_region_counts()
     if overlap:
         program.prewarm_overlap_plans()
     plans = build_rank_plans(program)
-    if native is not None and native.available:
-        for rank in plans:
-            rank_replay(program, rank)
+    for rank in plans:
+        rank_replay(program, rank)
     edges = build_edges(plans, mailbox_depth)
     meta_words = max(1, sum(2 + e.depth for e in edges.values()))
     data_words = max(1, sum(e.depth * e.capacity
                             for e in edges.values()))
 
-    field_layout: List[Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = []
+    field_layout: List[Tuple[str, Tuple[int, ...]]] = []
     proto_fields: Dict[str, DenseField] = {}
     for stmt in program.nest.statements:
         arr = stmt.write.array
@@ -1151,7 +1039,7 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
             continue
         f = field_for_write(stmt.write, program.nest.domain, np_dtype)
         proto_fields[arr] = f
-        field_layout.append((arr, tuple(f.origin), f.values.shape))
+        field_layout.append((arr, f.values.shape))
 
     created: Dict[str, _shm.SharedMemory] = {}
 
@@ -1184,7 +1072,7 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
                                            dtype=np.int64)
         views["edgestats"][:] = 0
         field_segs: List[Tuple[str, str, str]] = []
-        for arr, _origin, shp in field_layout:
+        for arr, shp in field_layout:
             count = 1
             for s in shp:
                 count *= s
@@ -1219,7 +1107,7 @@ def run_parallel(program: TiledProgram, spec: ClusterSpec,
         for wid, ranks in enumerate(_partition(nranks, workers)):
             p = ctx.Process(
                 target=_worker_main,
-                args=(wid, ranks, program, spec, init_value, plans,
+                args=(wid, ranks, program, spec, init_value,
                       edges, segments, cfg, error_q, trace_q),
                 daemon=True)
             p.start()

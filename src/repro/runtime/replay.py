@@ -22,11 +22,14 @@ moves data:
 
 Nothing here depends on ``init_value``: :func:`boundary_fill` turns the
 cached cells into per-run boundary values with the same scalar
-``init_value`` calls the sparse reference makes.  Partial tiles keep no
-per-point arrays; their executed points come from the program's cached
-bool tile masks on each run.  The plans live only in memory (never in
-artifacts) and are built on the first execution, not by compile,
-simulate or tune.
+``init_value`` calls the sparse reference makes.  Both data engines
+(``execute_dense`` and the parallel engine, blocking or overlapped)
+walk these plans with one tile executor — :class:`NumpyKernels` here,
+or the native ``RankKernels`` — and one :func:`write_back`.  Partial
+tiles keep no per-point arrays; their executed points come from the
+program's cached bool tile masks on each run.  The plans live only in
+memory (never in artifacts) and are built on the first execution, not
+by compile, simulate or tune.
 """
 
 from __future__ import annotations
@@ -39,13 +42,21 @@ from typing import (
     Dict,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
 
 import numpy as np
 
-from repro.runtime.dense import RefIndexer, read_dependences, write_box
+from repro.runtime.dense import (
+    ReadPlan,
+    RefIndexer,
+    StatementPlan,
+    evaluate_statement_batch,
+    read_dependences,
+    write_box,
+)
 
 if TYPE_CHECKING:
     from repro.runtime.executor import TiledProgram
@@ -341,12 +352,13 @@ def boundary_fill(step: TileStep, nlat: int, init_value: InitFn,
 
 def write_back(replay: RankReplay, geo: ReplayGeometry,
                local: Dict[str, np.ndarray],
-               fields: Dict[str, Any]) -> None:
+               fields: Dict[str, Tuple[np.ndarray, np.ndarray]]) -> None:
     """Owner-computes write-back of one rank's tiles into the global
-    fields (C-contiguous, boxes of ``geo.writes``), through raveled
+    fields, given per array as C-contiguous ``(values, written)`` boxes
+    of ``geo.writes`` (bool or uint8 ``written``), through raveled
     indices ``fbase[i] + wconst``."""
-    flat = {a: (f.values.reshape(-1), f.written.reshape(-1))
-            for a, f in fields.items()}
+    flat = {a: (values.reshape(-1), written.reshape(-1))
+            for a, (values, written) in fields.items()}
     wbase = replay.bases.wbase
     for step in replay.steps:
         pts = slice(None) if step.mask is None else step.mask
@@ -356,3 +368,75 @@ def write_back(replay: RankReplay, geo: ReplayGeometry,
             values, written = flat[w.array]
             values[dst] = local[w.array][src]
             written[dst] = True
+
+
+class TileKernels(Protocol):
+    """A rank's tile executor: :class:`NumpyKernels` or the native
+    :class:`repro.native.engine.RankKernels`."""
+
+    def run_tile(self, step: TileStep) -> None: ...
+
+    def run_segment(self, step: TileStep, batch: np.ndarray) -> None: ...
+
+
+class NumpyKernels:
+    """One rank's numpy executor over its LDS buffers.
+
+    The twin of :class:`repro.native.engine.RankKernels`, with the same
+    interface: ``run_tile`` executes a whole tile level by level,
+    ``run_segment`` one wavefront (sub-)batch — the overlap schedule's
+    boundary/interior slices.  A tile's boundary values are filled once
+    and reused by all of its segments.
+    """
+
+    def __init__(self, program: "TiledProgram", replay: RankReplay,
+                 local: Dict[str, np.ndarray], init_value: InitFn,
+                 plans: Sequence[StatementPlan], dtype: Any = np.float64):
+        self.program = program
+        self.geo = replay_geometry(program)
+        self.local = local
+        self.init_value = init_value
+        self.plans = plans
+        self.dtype = dtype
+        self.wbase = replay.bases.wbase
+        self.rbase = replay.bases.rbase
+        self.top = replay.size - 1
+        self._fix_step: Optional[TileStep] = None
+        self._fixes: Dict[Site, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def _boundary(self, step: TileStep,
+                  ) -> Dict[Site, Tuple[np.ndarray, np.ndarray]]:
+        if self._fix_step is not step:
+            self._fixes = {
+                site: (oob.view(np.bool_), fix) for site, oob, fix
+                in boundary_fill(step, self.geo.nlat, self.init_value,
+                                 self.dtype)}
+            self._fix_step = step
+        return self._fixes
+
+    def run_tile(self, step: TileStep) -> None:
+        """Every executed point of one tile, wavefront level by level."""
+        for batch in self.program.dense_level_batches(step.tile):
+            self.run_segment(step, batch)
+
+    def run_segment(self, step: TileStep, batch: np.ndarray) -> None:
+        """One wavefront (sub-)batch of one tile."""
+        fixes = self._boundary(step)
+        local, rbase, top = self.local, self.rbase, self.top
+
+        def gather(rp: ReadPlan, _g: np.ndarray) -> np.ndarray:
+            # Out-of-domain sources can address outside the LDS; clip,
+            # then overwrite with the boundary values.
+            vals = local[rp.ref.array][np.clip(
+                rbase[rp.site][batch] + step.shift, 0, top)]
+            fx = fixes.get(rp.site)
+            if fx is not None:
+                oob = fx[0][batch]
+                vals[oob] = fx[1][batch][oob]
+            return vals
+
+        g = self.geo.tis[batch] + step.origin
+        wflat = self.wbase[batch] + step.shift
+        for plan in self.plans:
+            local[plan.stmt.write.array][wflat] = evaluate_statement_batch(
+                plan, g, gather, self.dtype)

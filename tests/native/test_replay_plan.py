@@ -135,13 +135,15 @@ _APPS = {
 @settings(max_examples=6, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(sorted(_APPS)), shape=st.integers(0, 3),
-       x=st.integers(2, 4), y=st.integers(2, 4), z=st.integers(2, 4))
+       x=st.integers(2, 4), y=st.integers(2, 4), z=st.integers(2, 4),
+       use_native=st.booleans())
 def test_consecutive_runs_with_new_init_values(cache, name, shape,
-                                               x, y, z):
-    """Two native runs on one program and library, each with its own
-    boundary condition, through the dense and the parallel engine
-    (with and without overlap), all bitwise equal to a numpy dense run
-    on a fresh program, with the simulator's event counts."""
+                                               x, y, z, use_native):
+    """Two runs on one program, each with its own boundary condition,
+    through the dense and the parallel engine (with and without
+    overlap) on the native or the numpy tile executor, all bitwise
+    equal to a numpy dense run on a fresh program, with the
+    simulator's event counts."""
     make_app, shapes, mdim = _APPS[name]
     app = make_app()
     h_fn = shapes[shape % len(shapes)]
@@ -149,8 +151,8 @@ def test_consecutive_runs_with_new_init_values(cache, name, shape,
         prog = TiledProgram(app.nest, h_fn(x, y, z), mapping_dim=mdim)
     except ValueError:
         assume(False)
-    lib = build_native_library(prog, cache=cache)
-    assert lib.available, lib.fallback_reason
+    lib = build_native_library(prog, cache=cache) if use_native else None
+    assert lib is None or lib.available, lib.fallback_reason
     sim = DistributedRun(prog, SPEC).simulate()
     for init in (app.init_value,
                  functools.partial(_scaled, app.init_value)):

@@ -40,6 +40,7 @@ from repro.runtime.parallel import (
     build_rank_plans,
 )
 from repro.runtime.vmpi import DeadlockError
+from repro.tiling.transform import TilingTransformation
 
 SPEC = ClusterSpec()
 
@@ -128,6 +129,35 @@ class TestBitwiseAgainstDense:
         for rank in stats.clocks:
             busy = stats.compute_time[rank] + stats.comm_time[rank]
             assert busy <= stats.clocks[rank] * 1.001 + 1e-9
+
+
+class TestWarmReplay:
+    def test_warm_runs_rederive_nothing(self, monkeypatch):
+        """Once each schedule has run, the parallel engine only replays
+        the program's cached per-rank plans: no region, schedule, lex
+        order or tile origin is derived again, in the parent or in a
+        worker (forked workers inherit the patches).  ADI covers pure
+        inputs and two written arrays."""
+        app, h = adi.app(4, 5), adi.h_rectangular(2, 3, 3)
+        _, ref, _ = _dense_ref(app, h, 0)
+        prog = TiledProgram(app.nest, h, mapping_dim=0)
+        run = DistributedRun(prog, SPEC)
+        for overlap in (False, True):
+            run.execute_parallel(app.init_value, workers=2,
+                                 overlap=overlap)
+
+        def rederived(*args, **kwargs):
+            raise AssertionError("warm run re-derived an address")
+
+        for name in ("region_mask", "receive_plan", "send_plan",
+                     "dense_lex_order"):
+            monkeypatch.setattr(TiledProgram, name, rederived)
+        monkeypatch.setattr(TilingTransformation, "tile_origin",
+                            rederived)
+        for overlap in (False, True):
+            fields, _ = run.execute_parallel(app.init_value, workers=2,
+                                             overlap=overlap)
+            assert arrays_match(dense_to_cells(fields), ref, tol=0.0)
 
 
 class TestProtocols:
