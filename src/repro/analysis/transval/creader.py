@@ -99,14 +99,14 @@ class _ExprParser:
                 self.line)
 
     def parse(self) -> Expr:
-        e = self._expr()
+        e = self._sum()
         if self._peek() is not None:
             raise ReaderError(
                 f"trailing tokens after expression in {self.text!r}",
                 self.line)
         return e
 
-    def _expr(self) -> Expr:
+    def _sum(self) -> Expr:
         terms = [self._term()]
         while True:
             tok = self._peek()
@@ -147,7 +147,7 @@ class _ExprParser:
         if kind == "num":
             return Const(int(val))
         if kind == "op" and val == "(":
-            e = self._expr()
+            e = self._sum()
             self._eat(")")
             return e
         if kind == "name":
@@ -157,10 +157,10 @@ class _ExprParser:
                         f"unknown function {val!r} in {self.text!r}",
                         self.line)
                 self._next()
-                args = [self._expr()]
+                args = [self._sum()]
                 while self._peek() == ("op", ","):
                     self._next()
-                    args.append(self._expr())
+                    args.append(self._sum())
                 self._eat(")")
                 return self._call(val, args)
             return Var(val)

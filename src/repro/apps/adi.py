@@ -40,7 +40,6 @@ from repro.linalg.ratmat import RatMat
 from repro.loops.dependence import validate_dependences
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
-from repro.native import kexpr
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 
 #: Hand-declared dependence matrix (read order, deduplicated across
@@ -76,31 +75,6 @@ def _kernel_b(_j, vals):
     return b_c - (a * a) / b_jm - (a * a) / b_im
 
 
-def _kernel_x_np(_pts, vals):
-    # Vectorized twin of ``_kernel_x`` (same operation order).
-    x_c, x_jm, b_jm, x_im, b_im, a = vals
-    return x_c + x_jm * a / b_jm - x_im * a / b_im
-
-
-def _kernel_b_np(_pts, vals):
-    # Vectorized twin of ``_kernel_b`` (same operation order).
-    b_c, b_jm, b_im, a = vals
-    return b_c - (a * a) / b_jm - (a * a) / b_im
-
-
-def _expr_x():
-    # Symbolic twin of ``_kernel_x`` (identical operation order; the
-    # Python source parses left-associatively, made explicit here).
-    x_c, x_jm, b_jm, x_im, b_im, a = kexpr.reads(6)
-    return (x_c + ((x_jm * a) / b_jm)) - ((x_im * a) / b_im)
-
-
-def _expr_b():
-    # Symbolic twin of ``_kernel_b`` (identical operation order).
-    b_c, b_jm, b_im, a = kexpr.reads(4)
-    return (b_c - ((a * a) / b_jm)) - ((a * a) / b_im)
-
-
 #: Access matrix projecting iteration (t,i,j) onto array index (i,j).
 _PROJ_IJ = RatMat([[0, 1, 0], [0, 0, 1]])
 
@@ -117,8 +91,6 @@ def original_nest(t_steps: int, n: int) -> LoopNest:
             ArrayRef.of("A", (0, 0), _PROJ_IJ),
         ],
         _kernel_x,
-        _kernel_x_np,
-        expr=_expr_x(),
     )
     st_b = Statement.of(
         ArrayRef.of("B", (0, 0, 0)),
@@ -129,8 +101,6 @@ def original_nest(t_steps: int, n: int) -> LoopNest:
             ArrayRef.of("A", (0, 0), _PROJ_IJ),
         ],
         _kernel_b,
-        _kernel_b_np,
-        expr=_expr_b(),
     )
     validate_dependences(DECLARED_DEPS)
     return LoopNest.rectangular(

@@ -23,7 +23,6 @@ from repro.loops.dependence import validate_dependences
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
 from repro.loops.skewing import skew_nest
-from repro.native import kexpr
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 
 SKEW = RatMat([[1, 0], [1, 1]])
@@ -51,20 +50,6 @@ def _kernel(_j, vals):
     return c * vals[0] + (1.0 - 2.0 * c) * vals[1] + c * vals[2]
 
 
-def _kernel_np(_pts, vals):
-    # Vectorized twin of ``_kernel`` (same operation order).
-    c = DIFFUSIVITY
-    return c * vals[0] + (1.0 - 2.0 * c) * vals[1] + c * vals[2]
-
-
-def _expr():
-    # Symbolic twin of ``_kernel`` (identical operation order;
-    # ``1.0 - 2.0*c`` folds here in Python exactly as in the kernels).
-    c = DIFFUSIVITY
-    v = kexpr.reads(3)
-    return (c * v[0] + (1.0 - 2.0 * c) * v[1]) + c * v[2]
-
-
 def original_nest(t_steps: int, n: int) -> LoopNest:
     u = "U"
     stmt = Statement.of(
@@ -75,8 +60,6 @@ def original_nest(t_steps: int, n: int) -> LoopNest:
             ArrayRef.of(u, (-1, 1)),
         ],
         _kernel,
-        _kernel_np,
-        expr=_expr(),
     )
     validate_dependences(DECLARED_DEPS)
     return LoopNest.rectangular(

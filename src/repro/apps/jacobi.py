@@ -28,7 +28,6 @@ from repro.loops.dependence import validate_dependences
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
 from repro.loops.skewing import skew_nest
-from repro.native import kexpr
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 
 SKEW = RatMat([[1, 0, 0], [1, 1, 0], [1, 0, 1]])
@@ -56,19 +55,6 @@ def _kernel(_j, vals):
     return COEF * (vals[0] + vals[1] + vals[2] + vals[3] + vals[4])
 
 
-def _kernel_np(_pts, vals):
-    # Vectorized twin of ``_kernel``: same expression, same operation
-    # order, so per-element results are bitwise identical.
-    return COEF * (vals[0] + vals[1] + vals[2] + vals[3] + vals[4])
-
-
-def _expr():
-    # Symbolic twin of ``_kernel`` for the native backend (identical
-    # operation order).
-    v = kexpr.reads(5)
-    return COEF * ((((v[0] + v[1]) + v[2]) + v[3]) + v[4])
-
-
 def original_nest(t_steps: int, i_size: int, j_size: int) -> LoopNest:
     a = "A"
     stmt = Statement.of(
@@ -81,8 +67,6 @@ def original_nest(t_steps: int, i_size: int, j_size: int) -> LoopNest:
             ArrayRef.of(a, (-1, 0, 1)),
         ],
         _kernel,
-        _kernel_np,
-        expr=_expr(),
     )
     validate_dependences(DECLARED_DEPS)
     return LoopNest.rectangular(

@@ -29,7 +29,6 @@ from repro.loops.dependence import validate_dependences
 from repro.loops.nest import LoopNest, Statement
 from repro.loops.reference import ArrayRef
 from repro.loops.skewing import skew_nest
-from repro.native import kexpr
 from repro.tiling.shapes import parallelepiped_tiling, rectangular_tiling
 
 #: The paper's skewing matrix (from Xue [15]).
@@ -67,22 +66,6 @@ def _kernel(_j, vals):
         + (1.0 - OMEGA) * vals[4]
 
 
-def _kernel_np(_pts, vals):
-    # Vectorized twin of ``_kernel``: same expression, same operation
-    # order, so per-element results are bitwise identical.
-    return (OMEGA / 4.0) * (vals[0] + vals[1] + vals[2] + vals[3]) \
-        + (1.0 - OMEGA) * vals[4]
-
-
-def _expr():
-    # Symbolic twin of ``_kernel`` for the native backend: identical
-    # operation order; ``OMEGA / 4.0`` and ``1.0 - OMEGA`` fold here in
-    # Python, exactly as they evaluate inside the kernels.
-    v = kexpr.reads(5)
-    return ((OMEGA / 4.0) * (((v[0] + v[1]) + v[2]) + v[3])
-            + (1.0 - OMEGA) * v[4])
-
-
 def original_nest(m: int, n: int) -> LoopNest:
     """The unskewed SOR nest over ``[1,M] x [1,N]^2``."""
     a = "A"
@@ -96,8 +79,6 @@ def original_nest(m: int, n: int) -> LoopNest:
             ArrayRef.of(a, (-1, 0, 0)),
         ],
         _kernel,
-        _kernel_np,
-        expr=_expr(),
     )
     validate_dependences(DECLARED_DEPS)
     return LoopNest.rectangular(

@@ -9,13 +9,15 @@ exactly these inputs, so equal keys imply bitwise-equal programs.
 
 Deliberately *not* hashed:
 
-* statement ``kernel``/``kernel_np``/``expr`` bodies — the compiled
+* statement ``kernel`` bodies and their traced ``expr`` — the compiled
   geometry (tiles, communication sets, LDS layout, schedules) never
   depends on the arithmetic inside the loop body, and loaded programs
   always take their kernels from the caller's nest.  Anything that
   *does* depend on kernel content must carry its own hash on top of
   the content key: artifact payloads record a
-  ``kernel_fingerprint`` in their metadata (checked at load, so a
+  ``kernel_fingerprint`` in their metadata (the traced tree with its
+  constants, or for a kernel that does not trace its bytecode plus
+  default and closure values; checked at load, so a
   geometry-identical nest with edited kernels can never be served a
   stale snapshot), and the native backend keys its shared objects by
   (content key, emitted C source hash, compiler fingerprint) — see

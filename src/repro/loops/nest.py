@@ -11,52 +11,50 @@ two arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.loops.reference import ArrayRef
+from repro.native.kexpr import KExpr, trace
 from repro.polyhedra.halfspace import Polyhedron, box
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.native.kexpr import KExpr
 
 
 @dataclass(frozen=True)
 class Statement:
     """Single assignment ``write := F(reads...)``.
 
-    ``kernel`` is an optional Python callable ``f(point, read_values)
-    -> value`` used by the interpreters/executors to actually compute;
-    the compiler itself never calls it.  ``kernel_np`` is its optional
-    vectorized twin ``f(points, read_arrays) -> ndarray`` evaluated over
-    a whole batch of independent iteration points at once (``points`` is
-    an ``(m, n)`` int array, each read a float array of length ``m``).
-    The dense execution engine prefers ``kernel_np`` and falls back to
-    a per-point loop over ``kernel``; for bitwise-identical results the
-    two must perform the same floating-point operations in the same
-    order.
+    ``kernel`` is ``F``, a Python callable ``f(point, read_values) ->
+    value`` the interpreters and executors call to actually compute; the
+    tiling compiler never evaluates it.  It is the statement's only
+    definition of its arithmetic: the sparse interpreters call it on
+    floats, the dense engines on whole batches of read arrays, and
+    construction traces it once over symbolic reads into ``expr``
+    (:func:`repro.native.kexpr.trace`), the operator tree the native
+    backend renders to C and the TV05 pass checks.
 
-    ``expr`` is an optional symbolic twin (``repro.native.kexpr.KExpr``)
-    of the same computation over read slots; the native backend renders
-    it to C and the TV05 pass checks the rendering.  When present it
-    must perform the identical operations in the identical order as
-    ``kernel_np`` — the bitwise native-vs-dense suites enforce this.
-    Statements without an ``expr`` simply never compile natively (the
-    engines fall back to numpy).
+    A kernel that does not trace — it branches on or compares a read,
+    uses its point, or calls anything beyond ``+ - * /`` and negation —
+    leaves ``expr = None`` and the exception text in ``trace_error``:
+    the dense engines then loop the scalar kernel over each batch and
+    the native backend falls back to numpy, naming that reason.
     """
 
     write: ArrayRef
     reads: Tuple[ArrayRef, ...]
     kernel: Optional[Callable] = None
-    kernel_np: Optional[Callable] = None
-    expr: Optional["KExpr"] = None
+    expr: Optional[KExpr] = field(init=False, repr=False, compare=False)
+    trace_error: Optional[str] = field(init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self) -> None:
+        expr, error = trace(self.kernel, len(self.reads))
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "trace_error", error)
 
     @staticmethod
     def of(write: ArrayRef, reads: Sequence[ArrayRef],
-           kernel: Optional[Callable] = None,
-           kernel_np: Optional[Callable] = None,
-           expr: Optional["KExpr"] = None) -> "Statement":
-        return Statement(write, tuple(reads), kernel, kernel_np, expr)
+           kernel: Optional[Callable] = None) -> "Statement":
+        return Statement(write, tuple(reads), kernel)
 
     @property
     def dim(self) -> int:

@@ -68,8 +68,6 @@ def skew_nest(nest: LoopNest, t: RatMat) -> LoopNest:
             write=rewrite(s.write),
             reads=tuple(rewrite(r) for r in s.reads),
             kernel=s.kernel,
-            kernel_np=s.kernel_np,
-            expr=s.expr,
         )
         for s in nest.statements
     )

@@ -1,11 +1,12 @@
 """Native compiled tile-kernel backend.
 
-Turns each app's symbolic kernel expressions (``Statement.expr``) into
-a per-program C translation unit, compiles it to a shared object, and
+Turns each statement's kernel, traced once into an operator tree
+(``Statement.expr``, see :mod:`repro.native.kexpr`), into a
+per-program C translation unit, compiles it to a shared object, and
 executes tile wavefront levels through ``ctypes`` instead of per-level
 numpy dispatch.  Results are bitwise identical (tol=0.0) to the dense
 engine; when anything prevents native execution (no C compiler, a
-statement without an ``expr``, a non-float64 dtype, a tiling whose
+kernel that does not trace, a non-float64 dtype, a tiling whose
 strides don't divide the box) the engines fall back to numpy and record
 why.
 
@@ -18,11 +19,12 @@ Modules:
 * ``engine``  — build pipeline plus the per-rank runtime objects the
   dense and parallel engines call.
 
-The package root deliberately avoids importing ``engine`` eagerly: apps
-import :mod:`repro.native.kexpr` to declare their statement exprs, and
-pulling the full build pipeline (which reaches into ``repro.artifacts``
-and thus the executor) into every app import would be both heavy and a
-cycle hazard.  ``build_native_library`` and friends resolve lazily.
+The package root deliberately avoids importing ``engine`` eagerly:
+``repro.loops.nest`` imports :mod:`repro.native.kexpr` to trace every
+statement, and pulling the full build pipeline (which reaches into
+``repro.artifacts`` and thus the executor) into every nest import would
+be both heavy and a cycle hazard.  ``build_native_library`` and friends
+resolve lazily.
 """
 
 from typing import Any

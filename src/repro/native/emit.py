@@ -36,9 +36,9 @@ per-tile term (exact because the engine only goes native when
 
 Each statement body is rendered as its own ``static double F_<array>``
 function over the read slots, in the exact parenthesization of the
-statement's :class:`~repro.native.kexpr.KExpr` — these are the units
-the TV05 translation-validation pass re-parses and proves against the
-symbolic exprs.
+statement's traced :class:`~repro.native.kexpr.KExpr` — these are the
+units the TV05 translation-validation pass re-parses and proves against
+the traced trees.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def emit_translation_unit(nest: LoopNest,
 
     ``arrays`` fixes the ``bufs`` indexing and must list every written
     array (the engines pass ``program.arrays``).  Raises
-    :class:`NativeEmitError` when any statement lacks a symbolic
-    ``expr`` — the caller turns that into a numpy fallback, never a
-    crash.
+    :class:`NativeEmitError` when any statement's kernel did not trace
+    to an ``expr`` — the caller turns that into a numpy fallback, never
+    a crash.
     """
     arrays = tuple(arrays)
     array_id = {a: i for i, a in enumerate(arrays)}
@@ -119,12 +119,8 @@ def emit_translation_unit(nest: LoopNest,
         if stmt.expr is None:
             raise NativeEmitError(
                 f"statement {si} ({stmt.write.array}) has no symbolic "
-                f"expr")
+                f"expr: its kernel does not trace ({stmt.trace_error})")
         nreads = len(stmt.reads)
-        if kexpr.max_slot(stmt.expr) >= nreads:
-            raise NativeEmitError(
-                f"statement {si} expr reads slot "
-                f"{kexpr.max_slot(stmt.expr)} but has {nreads} reads")
         if stmt.write.array not in array_id:
             raise NativeEmitError(
                 f"write array {stmt.write.array!r} not in program "

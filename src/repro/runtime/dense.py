@@ -18,9 +18,10 @@ holds the machinery both dense drivers share:
   reads hit a dense :class:`InputTable` precomputed from ``init_value``.
 
 Bitwise agreement with the sparse reference comes from evaluating the
-*same* scalar expressions elementwise: ``kernel_np`` twins perform the
-identical IEEE-754 operations in the identical order, and boundary
-values come from the same ``init_value`` calls.
+*same* kernel elementwise: a statement's one ``kernel`` runs over read
+arrays here and over floats there, performing the identical IEEE-754
+operations in the identical order, and boundary values come from the
+same ``init_value`` calls.
 """
 
 from __future__ import annotations
@@ -450,12 +451,15 @@ def apply_kernel(stmt: Statement, points: np.ndarray,
                  dtype: type = np.float64) -> np.ndarray:
     """Evaluate one statement over a batch of independent points.
 
-    Prefers the vectorized ``kernel_np``; otherwise loops the scalar
-    ``kernel`` over the batch (identical results, still batched I/O).
+    A kernel that traced (``stmt.expr``) uses only ``+ - * /`` and
+    negation on its reads, so one call over the read arrays performs
+    the same IEEE-754 operations elementwise; any other kernel loops
+    per point over the batch (identical results, still batched I/O).
     """
-    if stmt.kernel_np is not None:
-        return np.asarray(stmt.kernel_np(points, vals), dtype=dtype)
     kernel = stmt.kernel
+    if stmt.expr is not None:
+        out = np.asarray(kernel(points, vals), dtype=dtype)
+        return out if out.ndim else np.full(len(points), out, dtype)
     if kernel is None:
         raise ValueError(
             f"statement writing {stmt.write.array!r} has no kernel")

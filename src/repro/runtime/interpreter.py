@@ -94,9 +94,9 @@ def run_dense_sequential(nest: LoopNest, init_value: InitFn,
     """Execute the nest in batched wavefront order over dense storage.
 
     Semantically equivalent to :func:`run_sequential` — and bitwise
-    equal when the statements' ``kernel_np`` twins mirror their scalar
-    kernels — but executes whole independence levels as single numpy
-    operations instead of one dict lookup per point.
+    equal, since each level runs the same kernels over read arrays —
+    but executes whole independence levels as single numpy operations
+    instead of one dict lookup per point.
     """
     n = nest.depth
     amat, bvec = domain_constraints(nest.domain)

@@ -1,5 +1,7 @@
 """Shared fixtures: small app instances and tilings used across suites."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps import adi, jacobi, sor
@@ -38,3 +40,21 @@ def adi_reference_small():
 def values_close(a, b, tol=1e-11):
     """Dict-to-dict comparison with exact key sets."""
     return set(a) == set(b) and all(abs(a[k] - b[k]) < tol for k in a)
+
+
+def with_kernels(nest, wrap):
+    """``nest`` with each statement's kernel replaced by ``wrap(kernel)``
+    (the statement re-traces its new kernel)."""
+    return dataclasses.replace(nest, statements=tuple(
+        dataclasses.replace(s, kernel=wrap(s.kernel))
+        for s in nest.statements))
+
+
+def untraced(kernel):
+    """The same values, but ``float()`` on the reads stops the trace."""
+    return lambda p, v: kernel(p, [float(x) for x in v])
+
+
+def doubled(kernel):
+    """A kernel computing ``2.0 * kernel``: same geometry, new arithmetic."""
+    return lambda p, v, k=kernel: 2.0 * k(p, v)

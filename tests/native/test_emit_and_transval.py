@@ -1,13 +1,12 @@
 """Unit coverage for the C emitter, kexpr rendering, and TV05.
 
 TV05 re-parses the emitted translation unit with an independent
-grammar and proves it against the symbolic ``KExpr`` trees — these
+grammar and proves it against the traced ``KExpr`` trees — these
 tests drive both directions: the genuine TU validates cleanly for
 every app, and each class of corruption (constant bits, operator
 structure, slot wiring, write target, arity) raises a TV05 error.
 """
 
-import dataclasses
 import re
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro.native.emit import (
     emit_translation_unit,
 )
 from repro.runtime import TiledProgram, read_dependences
+from tests.conftest import doubled, untraced, with_kernels
 
 APPS = [
     pytest.param(sor.app(4, 6), id="sor"),
@@ -66,21 +66,16 @@ class TestEmit:
     def test_hash_tracks_expression(self):
         app = sor.app(4, 6)
         p1 = emit_translation_unit(app.nest, _arrays(app))
-        nest = dataclasses.replace(
-            app.nest,
-            statements=tuple(
-                dataclasses.replace(
-                    s, expr=kexpr.KMul(kexpr.KConst(2.0), s.expr))
-                for s in app.nest.statements))
+        nest = with_kernels(app.nest, doubled)
+        assert [s.expr for s in nest.statements] == [
+            kexpr.KMul(kexpr.KConst(2.0), s.expr)
+            for s in app.nest.statements]
         p2 = emit_translation_unit(nest, _arrays(app))
         assert p1.source_hash != p2.source_hash
 
     def test_missing_expr_raises(self):
         app = sor.app(4, 6)
-        nest = dataclasses.replace(
-            app.nest,
-            statements=tuple(dataclasses.replace(s, expr=None)
-                             for s in app.nest.statements))
+        nest = with_kernels(app.nest, untraced)
         with pytest.raises(NativeEmitError, match="no symbolic"):
             emit_translation_unit(nest, _arrays(app))
 
@@ -96,7 +91,7 @@ class TestKexprRendering:
                     == np.float64(value).tobytes())
 
     def test_to_c_parses_back(self):
-        v = kexpr.reads(3)
+        v = [kexpr.KRead(q) for q in range(3)]
         expr = kexpr.KAdd(
             kexpr.KMul(kexpr.KConst(0.25),
                        kexpr.KAdd(v[0], kexpr.KNeg(v[1]))),
@@ -164,8 +159,5 @@ class TestTV05:
     def test_nest_without_exprs_is_silent(self):
         # no native TU => numpy fallback, nothing to prove, no noise
         app = sor.app(4, 6)
-        nest = dataclasses.replace(
-            app.nest,
-            statements=tuple(dataclasses.replace(s, expr=None)
-                             for s in app.nest.statements))
+        nest = with_kernels(app.nest, untraced)
         assert check_native_tu(nest, _arrays(app)) == []

@@ -3,14 +3,13 @@
 Every run through a compiled ``.so`` is cross-checked at ``tol=0.0``
 against the numpy dense engine (itself bitwise-checked against the
 sparse interpreters): the emitted C performs exactly the IEEE-754
-operations of ``kernel_np`` in the same order, under
+operations of the numpy kernel call in the same order, under
 ``-ffp-contract=off -fno-fast-math``.  The suite also pins down the
 degradation contract — no toolchain, a broken toolchain, a
-non-float64 run, or an expression-less nest must all fall back to the
-numpy kernels without changing a single bit of output.
+non-float64 run, or a kernel that does not trace must all fall back to
+the numpy kernels without changing a single bit of output.
 """
 
-import dataclasses
 import functools
 import os
 import tempfile
@@ -22,7 +21,14 @@ from hypothesis import strategies as st
 
 from repro.apps import adi, heat, jacobi, sor
 from repro.artifacts import ArtifactCache
-from repro.native import kexpr
+from repro.linalg import RatMat
+from repro.loops import (
+    ArrayRef,
+    LoopNest,
+    Statement,
+    find_skew_for_rectangular_tiling,
+    skew_nest,
+)
 from repro.native.compile import (
     NativeCompileError,
     compile_shared_object,
@@ -36,6 +42,8 @@ from repro.runtime import (
     arrays_match,
     dense_to_cells,
 )
+from repro.tiling import parallelepiped_tiling, rectangular_tiling
+from tests.conftest import doubled, untraced, with_kernels
 
 SPEC = ClusterSpec()
 
@@ -189,6 +197,85 @@ def _fallback_still_bitwise(app, prog, lib):
                         dense_to_cells(ref_fields), tol=0.0)
 
 
+def _quickstart():
+    """``examples/quickstart.py``: wavefront nest, diamond tiling."""
+    def kernel(_point, reads):
+        left, mid, right = reads
+        return 0.25 * left + 0.5 * mid + 0.25 * right
+
+    stmt = Statement.of(
+        ArrayRef.of("A", (0, 0)),
+        [ArrayRef.of("A", (-1, -1)), ArrayRef.of("A", (-1, 0)),
+         ArrayRef.of("A", (-1, 1))],
+        kernel)
+    nest = LoopNest.rectangular(
+        "wavefront", [0, 0], [23, 23], [stmt],
+        [(1, 1), (1, 0), (1, -1)])
+    h = parallelepiped_tiling([["1/8", "-1/8"], ["1/8", "1/8"]])
+
+    def init(_array, cell):
+        return 1.0 if cell[0] < 0 or not (0 <= cell[1] <= 23) else 0.0
+
+    return nest, h, init
+
+
+def _custom_stencil():
+    """``examples/custom_stencil.py``: auto-skewed, 3x3x3 boxes."""
+    def kernel(_p, reads):
+        return 0.4 * reads[0] + 0.35 * reads[1] + 0.25 * reads[2] + 0.01
+
+    stmt = Statement.of(
+        ArrayRef.of("A", (0, 0, 0)),
+        [ArrayRef.of("A", (-1, 0, 0)), ArrayRef.of("A", (-1, 1, -1)),
+         ArrayRef.of("A", (0, -1, 0))],
+        kernel)
+    nest = LoopNest.rectangular(
+        "custom", [0, 0, 0], [11, 11, 11], [stmt],
+        [(1, 0, 0), (1, -1, 1), (0, 1, 0)])
+    skewed = skew_nest(nest, find_skew_for_rectangular_tiling(
+        nest.dependences))
+
+    def init(_a, cell):
+        return 0.1 * cell[0] - 0.05 * cell[1] + 0.02 * cell[2]
+
+    return skewed, rectangular_tiling([3, 3, 3]), init
+
+
+def _random_stencil(coeffs):
+    """The four-mode suite's random-stencil kernel, fixed draws."""
+    from tests.integration.test_four_mode_equivalence import _init, _nest
+
+    deps = ((0, 1), (1, -1), (1, 0))
+    nest = _nest(deps, (-1, -2), (4, 3), coeffs)
+    return nest, RatMat([[2, 0], [-2, 3]]).inverse(), _init
+
+
+class TestUserKernels:
+    """Kernels written only as Python arithmetic compile natively."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(_quickstart, id="quickstart"),
+        pytest.param(_custom_stencil, id="custom-stencil"),
+        pytest.param(lambda: _random_stencil((1 / 16, 5 / 16, 7 / 16)),
+                     id="random-a"),
+        pytest.param(lambda: _random_stencil((3 / 16, 2 / 16, 6 / 16)),
+                     id="random-b"),
+        pytest.param(lambda: _random_stencil((7 / 16, 7 / 16, 4 / 16)),
+                     id="random-c"),
+    ])
+    @requires_cc
+    def test_builds_and_matches_numpy(self, cache, make):
+        nest, h, init = make()
+        prog = TiledProgram(nest, h)
+        lib = build_native_library(prog, cache=cache)
+        assert lib.status in ("miss", "hit"), lib.fallback_reason
+        ref_fields, _ = DistributedRun(prog, SPEC).execute_dense(init)
+        fields, _ = DistributedRun(prog, SPEC).execute_dense(
+            init, native=lib)
+        assert arrays_match(dense_to_cells(fields),
+                            dense_to_cells(ref_fields), tol=0.0)
+
+
 class TestFallback:
     def test_no_compiler(self, monkeypatch, tmp_path):
         # $CC pointing at a nonexistent driver disables discovery
@@ -215,12 +302,9 @@ class TestFallback:
         _fallback_still_bitwise(app, prog, lib)
 
     def test_nest_without_exprs(self, tmp_path):
-        # stripping the symbolic exprs leaves nothing to compile
+        # a kernel that does not trace leaves nothing to compile
         app = sor.app(4, 6)
-        nest = dataclasses.replace(
-            app.nest,
-            statements=tuple(dataclasses.replace(s, expr=None)
-                             for s in app.nest.statements))
+        nest = with_kernels(app.nest, untraced)
         prog = TiledProgram(nest, sor.h_rectangular(2, 3, 4),
                             mapping_dim=2)
         lib = build_native_library(
@@ -309,12 +393,7 @@ class TestCache:
         assert lib.status == "miss"
 
         # same geometry, different kernel expression
-        edited_nest = dataclasses.replace(
-            app.nest,
-            statements=tuple(
-                dataclasses.replace(
-                    s, expr=kexpr.KMul(kexpr.KConst(2.0), s.expr))
-                for s in app.nest.statements))
+        edited_nest = with_kernels(app.nest, doubled)
         edited = TiledProgram(edited_nest, h, mapping_dim=2)
         assert (content_key(edited_nest, h, 2)
                 == content_key(app.nest, h, 2))
@@ -367,11 +446,6 @@ class TestArtifactKernelDrift:
         prog = TiledProgram(app.nest, h, mapping_dim=2)
         payload = snapshot_program(prog, 2)
 
-        edited_nest = dataclasses.replace(
-            app.nest,
-            statements=tuple(
-                dataclasses.replace(
-                    s, expr=kexpr.KMul(kexpr.KConst(2.0), s.expr))
-                for s in app.nest.statements))
+        edited_nest = with_kernels(app.nest, doubled)
         with pytest.raises(ArtifactError, match="kernel drift"):
             restore_program(edited_nest, h, payload)

@@ -3,12 +3,10 @@
 The sparse interpreters (`run_sequential`, `run_tiled_sequential`,
 `DistributedRun.execute`) are the semantic reference; every dense run
 here is cross-checked against them **bitwise** (``tol=0.0``) — the
-``kernel_np`` twins perform the same IEEE-754 operations in the same
-order, so any drift is a real indexing or scheduling bug, not float
-noise.
+one kernel per statement performs the same IEEE-754 operations in the
+same order over read arrays as over floats, so any drift is a real
+indexing or scheduling bug, not float noise.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -27,6 +25,7 @@ from repro.runtime import (
     run_tiled_sequential,
     wavefront_vector,
 )
+from tests.conftest import untraced, with_kernels
 
 SPEC = ClusterSpec()
 
@@ -130,16 +129,11 @@ class TestDenseSequentialBitwise:
         assert arrays_match(got, ref, tol=0.0)
 
     def test_scalar_kernel_fallback(self):
-        # stripping kernel_np forces the per-point fallback loop, which
-        # must agree with the vectorized twin exactly
+        # a kernel that does not trace forces the per-point fallback
+        # loop, which must agree with the vectorized call exactly
         app = sor.app(4, 6)
-        nest = dataclasses.replace(
-            app.nest,
-            statements=tuple(
-                dataclasses.replace(s, kernel_np=None)
-                for s in app.nest.statements
-            ),
-        )
+        nest = with_kernels(app.nest, untraced)
+        assert all(s.expr is None for s in nest.statements)
         ref = run_dense_sequential(app.nest, app.init_value)
         got = run_dense_sequential(nest, app.init_value)
         assert arrays_match(got, ref, tol=0.0)
